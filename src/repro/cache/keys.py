@@ -23,9 +23,6 @@ Key contents per level:
   migration latency, engine and the like are deliberately absent — the
   generator never sees them, which is what lets every cell of a grid
   replay one materialized trace;
-- **columnar keys** cover the trace identity plus ``num_user_cores``:
-  the columnar engine's derived bundle (line universe + dense key
-  streams) is a pure function of every context's trace at once;
 - **priming keys** cover the same workload/profile/seed identity plus
   ``policy_priming_invocations`` (the recorded stream must contain
   enough invocations to prime any policy);
@@ -57,7 +54,6 @@ PRIMING_SEED_OFFSET = 7919
 TRACE_KIND = "trace"
 PRIME_KIND = "prime"
 RESULT_KIND = "result"
-COLUMNAR_KIND = "columnar"
 
 
 def _digest(payload: Dict[str, Any]) -> str:
@@ -82,25 +78,6 @@ def trace_key(
         "seed": config_payload["seed"],
         "enable_icache": config_payload["enable_icache"],
         "thread": thread_id,
-    })
-
-
-def columnar_key(spec: WorkloadSpec, config_payload: Dict[str, Any]) -> str:
-    """Key of a run's derived columnar bundle (universe + key streams).
-
-    The bundle is a pure function of the per-thread traces it is
-    derived from, so its key covers the same identity as the trace keys
-    — plus ``num_user_cores``, because the universe spans every
-    context's stream at once.
-    """
-    return _digest({
-        "schema": CACHE_SCHEMA_VERSION,
-        "kind": COLUMNAR_KIND,
-        "workload": workload_payload(spec),
-        "profile": config_payload["profile"],
-        "seed": config_payload["seed"],
-        "enable_icache": config_payload["enable_icache"],
-        "threads": config_payload["num_user_cores"],
     })
 
 

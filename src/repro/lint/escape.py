@@ -1,12 +1,12 @@
 """Scratch-escape analysis: reusable kernel buffers must stay put.
 
-``repro/memory/columnar.py`` keeps module-level numpy scratch buffers
-(``_IOTA``/``_TICKS``) that are grown geometrically and reused across
-kernel invocations: every caller receives views over the *same* memory.
-That is only aliasing-safe while the views are consumed before the next
-probe — i.e. while no reference outlives the kernel call.  This module
-proves that statically for every such buffer in the project ("any
-future kernel" included: the buffer set is *detected*, not configured).
+A numpy kernel may keep module-level scratch buffers that are grown
+geometrically and reused across invocations: every caller then
+receives views over the *same* memory.  That is only aliasing-safe
+while the views are consumed before the next call — i.e. while no
+reference outlives the kernel call.  This module proves that
+statically for every such buffer in the project (the buffer set is
+*detected*, not configured).
 
 A **scratch buffer** is a module-level name bound to a numpy allocation
 (``np.empty/zeros/ones/full/arange``).  Within the defining module the

@@ -26,13 +26,12 @@ added to the stats model is covered without touching the linter.
 
 Cross-class reach: the hierarchy delegates some counter bumps to helper
 objects it owns (``self.directory.lookup()`` bumps
-``directory_lookups`` inside ``Directory``; the vectorized miss kernel
-folds the same bump through ``Directory.record_cold_fills``).  The
-closure therefore also follows ``self.<attr>.<method>(...)`` calls for
-the attributes named in ``_HELPER_ATTRS``, resolving the helper class's
-AST from the project and walking *its* intra-class call graph.  Without
-this, a counter moved behind a helper would silently leave both
-closures and the rule would stop guarding it.
+``directory_lookups`` inside ``Directory``).  The closure therefore
+also follows ``self.<attr>.<method>(...)`` calls for the attributes
+named in ``_HELPER_ATTRS``, resolving the helper class's AST from the
+project and walking *its* intra-class call graph.  Without this, a
+counter moved behind a helper would silently leave both closures and
+the rule would stop guarding it.
 """
 
 from __future__ import annotations
@@ -45,14 +44,11 @@ from repro.lint.core import ModuleSource, Project, Rule, Violation, register
 __all__ = ["EngineCounterParityRule"]
 
 #: (scalar entry point, batch entry point) pairs whose reachable
-#: counter mutations must match.  Every batch-engine variant is paired
-#: against the scalar reference, so a counter dropped from only one
-#: engine's mutation paths (batched *or* columnar) fails lint.
+#: counter mutations must match, so a counter dropped from the batched
+#: engine's mutation paths fails lint.
 _PARITY_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("access", "access_batch"),
     ("access_code", "access_code_batch"),
-    ("access", "access_batch_columnar"),
-    ("access_code", "access_code_batch_columnar"),
 )
 
 _STATS_SUFFIX = ("sim", "stats.py")

@@ -30,16 +30,6 @@ class MainMemory:
         self.fetches += 1
         return self._latency
 
-    def fetch_batch(self, count: int) -> int:
-        """Charge ``count`` line fetches at once; returns their summed latency.
-
-        Bulk form of :meth:`fetch` for the vectorized miss path: with a
-        uniform latency model the total is exactly ``count`` scalar
-        fetches, so the fold cannot drift from per-line charging.
-        """
-        self.fetches += count
-        return count * self._latency
-
     def writeback(self) -> int:
         """Record a dirty-line writeback.
 

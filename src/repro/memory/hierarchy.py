@@ -30,31 +30,17 @@ presence filter while all MESI state transitions are tracked in the L2.
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left, bisect_right
-from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.memory.cache import Cache, EXCLUSIVE, INVALID, MODIFIED, SHARED
-from repro.memory.columnar import ColumnarCache, probe_commit
 from repro.memory.dram import MainMemory
 from repro.memory.interconnect import PointToPointFabric
 from repro.memory.mesi import Directory
-from repro.memory.miss_path import (
-    group_slow_refs,
-    select_empty_slots,
-    select_fill_slots,
-)
 from repro.sim.config import MemorySystemConfig
 from repro.sim.stats import CacheStats, CoherenceStats, EnergyStats
-
-#: Below this many slow references a batch's miss set is cheaper to
-#: walk scalar than to classify; purely a performance knob (both paths
-#: are bit-identical).
-_MISS_KERNEL_MIN = 8
 
 
 class CoherenceNode:
@@ -110,23 +96,6 @@ class MemoryHierarchy:
         # contain misses stop paying for it.  Purely a performance knob:
         # both branches produce bit-identical results.
         self._opt_backoff = 0
-        # Vectorized miss-path kernel (columnar walks only): the same
-        # optimistic-with-back-off discipline, applied to a batch's
-        # *miss set*.  REPRO_MISS_KERNEL=0 pins the scalar walk for
-        # A/B benchmarking; results are bit-identical either way.
-        self._miss_kernel_on = os.environ.get("REPRO_MISS_KERNEL", "1") != "0"
-        self._miss_backoff = 0
-        # Diagnostics only (benchmarks / cell-shape assertions): how
-        # often the kernel committed vs bailed to the scalar walk.
-        # Deliberately NOT part of SimulationStats — the kernel must be
-        # invisible in every comparable counter.
-        self.miss_kernel_commits = 0
-        self.miss_kernel_bails = 0
-        # Miss-path self-time accounting for the sim.mem.miss span.
-        # The engine injects its profiler's clock (``miss_timer``) when
-        # profiling is on; the hierarchy itself never reads wall time.
-        self.miss_ns = 0
-        self.miss_timer: Optional[Callable[[], int]] = None
         self.directory = Directory(self.coherence)
         self.fabric = PointToPointFabric()
         self.dram = MainMemory(config.dram_latency)
@@ -144,46 +113,6 @@ class MemoryHierarchy:
                 self.l1i_stats[label] = l1i_stats
             self.nodes.append(
                 CoherenceNode(node_id, label, config, l1_stats, l2_stats, l1i_stats)
-            )
-
-    # ------------------------------------------------------------------
-    # columnar mode
-    # ------------------------------------------------------------------
-
-    def enable_columnar(self, universe: np.ndarray) -> None:
-        """Swap every cache — L1, L1I *and* L2 — to the columnar form.
-
-        ``universe`` is the sorted array of all distinct line numbers
-        the run will ever reference (the columnar engine materializes
-        its traces up front, so this is known before the first access).
-        Must be called while the hierarchy is still cold: the swapped
-        caches start empty, exactly like the ones they replace.  The
-        L1/L1I arrays feed the per-batch fast-path probe; the L2
-        arrays give the vectorized miss kernel true array-level L2
-        probes and scatter commits over the same dense key space
-        (the scalar helpers keep using the ordinary :class:`Cache`
-        API, which :class:`ColumnarCache` implements bit-identically).
-        """
-        for node in self.nodes:
-            if (
-                node.l1.occupancy()
-                or node.l2.occupancy()
-                or (node.l1i is not None and node.l1i.occupancy())
-            ):
-                raise SimulationError("enable_columnar requires a cold hierarchy")
-        line_to_id: Dict[int, int] = {
-            int(line): index for index, line in enumerate(universe)
-        }
-        for node in self.nodes:
-            node.l1 = ColumnarCache(
-                self.config.l1, node.l1.stats, universe, line_to_id
-            )
-            if node.l1i is not None:
-                node.l1i = ColumnarCache(
-                    self.config.l1i, node.l1i.stats, universe, line_to_id
-                )
-            node.l2 = ColumnarCache(
-                self.config.l2, node.l2.stats, universe, line_to_id
             )
 
     # ------------------------------------------------------------------
@@ -449,511 +378,6 @@ class MemoryHierarchy:
         l1i.record_batch(n - misses, misses)
         if self.energy is not None:
             self.energy.l1_accesses += n
-        return total
-
-    def access_batch_columnar(
-        self,
-        node_id: int,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        keys: Optional[np.ndarray] = None,
-    ) -> int:
-        """Columnar replay of a data reference stream; summed stalls.
-
-        Bit-identical to folding :meth:`access` over ``(lines,
-        writes)``, like :meth:`access_batch`, but the node's L1 is a
-        :class:`~repro.memory.columnar.ColumnarCache` and ``keys`` are
-        the stream's precomputed dense access keys (a slice of a
-        per-thread array the engine translated once per run).  The
-        whole-batch tier is :func:`~repro.memory.columnar
-        .probe_commit`: one gather through ``slot_of_key`` and, when
-        every reference is fast, one ``arange`` scatter into the LRU
-        stamps — no per-reference Python objects at all.  Duplicate
-        scatter indices resolve last-write-wins, which is exactly the
-        final LRU order of a fill-free batch.
-
-        A failed probe falls to a *two-phase* walk.  Phase one gathers
-        the whole batch once and takes the slow positions (misses and
-        writes to non-MODIFIED lines) from one ``flatnonzero``; phase
-        two visits only those positions through the scalar helpers,
-        committing each intervening run of fast references with a
-        single slice scatter.  The batch-start probe can go stale in
-        one direction only — a fast key can *stop* being fast when a
-        helper evicts, invalidates or downgrades a line — so every
-        retired key (the :attr:`~repro.memory.columnar.ColumnarCache
-        .retired` log) is located in the batch by sorted-search over a
-        lazily built ``argsort`` of the keys and its later positions
-        are merged into the visit order (slow-to-fast flips need no
-        repair: each visited position re-probes ``fastidx``, which is
-        authoritative).  Python therefore touches O(slow) references
-        per batch, never O(n x misses).
-
-        Every reference advances the LRU clock exactly once (position
-        ``i`` stamps ``clock + i``; the helpers bump
-        ``ColumnarCache.clock`` themselves), matching the scalar path
-        tick for tick.
-        """
-        n = lines.size
-        if n == 0:
-            return 0
-        node = self.nodes[node_id]
-        l1 = node.l1
-        # The columnar L2 appends to its retired log inside the shared
-        # scalar helpers, but only the walked L1's log is ever replayed
-        # (for probe repair) — drain the L2's per batch to bound it.
-        del node.l2.retired[:]
-        if keys is None:
-            keys = l1.translate(lines, writes)
-        stamp = l1.stamp
-        clock0 = l1.clock
-        next_clock = probe_commit(l1.slot_of_key, keys, stamp, clock0)
-        if next_clock >= 0:
-            l1.clock = next_clock
-            l1.record_batch(n, 0)
-            if self.energy is not None:
-                self.energy.l1_accesses += n
-            return 0
-        gathered = l1.slot_of_key[keys]
-        slow = np.flatnonzero(gathered == 0)
-        ticks = np.arange(clock0, clock0 + n, dtype=np.int64)
-        timer = self.miss_timer
-        t_miss = timer() if timer is not None else 0
-        if (
-            self._miss_kernel_on
-            and self._miss_backoff == 0
-            and slow.size >= _MISS_KERNEL_MIN
-        ):
-            total = self._vector_miss_resolve(
-                node, l1, lines, keys, gathered, slow, ticks, clock0
-            )
-            if total >= 0:
-                self.miss_kernel_commits += 1
-                if timer is not None:
-                    self.miss_ns += timer() - t_miss
-                return total
-            self.miss_kernel_bails += 1
-            self._miss_backoff = 8
-        elif self._miss_backoff:
-            self._miss_backoff -= 1
-        slow_list = slow.tolist()
-        slow_keys = keys[slow].tolist()
-        slow_lines = lines[slow].tolist()
-        n_slow = len(slow_list)
-        order_list = keys_sorted = None  # sorted-search index, built lazily
-        heap: list = []
-        retired = l1.retired
-        del retired[:]
-        fast_get = l1.fastidx.get
-        stamp_mv = l1._stamp_mv
-        write_hit = self._write_hit
-        miss_fill = self._miss_fill
-        misses = 0
-        total = 0
-        cursor = 0
-        si = 0
-        while True:
-            p_next = slow_list[si] if si < n_slow else n
-            if heap and heap[0] < p_next:
-                p = heappop(heap)
-                if p < cursor:
-                    continue  # duplicate repair entry, already visited
-                key = int(keys[p])
-                line = int(lines[p])
-            elif si < n_slow:
-                p = p_next
-                si += 1
-                if p < cursor:
-                    continue  # already visited via a repair entry
-                key = slow_keys[si - 1]
-                line = slow_lines[si - 1]
-            else:
-                break
-            if p > cursor:
-                stamp[gathered[cursor:p]] = ticks[cursor:p]
-            cursor = p + 1
-            slot = fast_get(key)
-            if slot is not None:
-                # Slow at batch start, fast now (filled or upgraded
-                # earlier in this batch): just the LRU touch.
-                stamp_mv[slot + 1] = clock0 + p
-                continue
-            read_slot = fast_get(key ^ 1) if key & 1 else None
-            if read_slot is not None:
-                # Resident but not MODIFIED: the scalar path's LRU
-                # touch, then the shared S/E write transition.
-                stamp_mv[read_slot + 1] = clock0 + p
-                l1.clock = clock0 + p + 1
-                total += write_hit(node, line)
-            else:
-                misses += 1
-                l1.clock = clock0 + p
-                total += miss_fill(node, line, key & 1)
-            if retired:
-                if order_list is None:
-                    order = np.argsort(keys, kind="stable")
-                    order_list = order.tolist()
-                    keys_sorted = keys[order].tolist()
-                for rkey in retired:
-                    lo = bisect_left(keys_sorted, rkey)
-                    hi = bisect_right(keys_sorted, rkey, lo=lo)
-                    for pos in order_list[lo:hi]:
-                        if pos > p:
-                            heappush(heap, pos)
-                del retired[:]
-        if cursor < n:
-            stamp[gathered[cursor:]] = ticks[cursor:]
-        l1.clock = clock0 + n
-        l1.record_batch(n - misses, misses)
-        if self.energy is not None:
-            self.energy.l1_accesses += n
-        if timer is not None:
-            self.miss_ns += timer() - t_miss
-        return total
-
-    def access_code_batch_columnar(
-        self,
-        node_id: int,
-        lines: np.ndarray,
-        keys: Optional[np.ndarray] = None,
-    ) -> int:
-        """Columnar replay of an instruction-fetch stream; summed stalls.
-
-        The code analogue of :meth:`access_batch_columnar`: bit-identical
-        to folding :meth:`access_code` over ``lines``, with every L1I
-        miss escalating through the shared :meth:`_code_miss_fill`.
-        Instruction streams have no write transitions, so the two-phase
-        walk's only slow references are misses, and the repair step only
-        sees L1I victims and L2 back-invalidations.
-        """
-        n = lines.size
-        if n == 0:
-            return 0
-        node = self.nodes[node_id]
-        l1i = node.l1i
-        if l1i is None:
-            raise SimulationError("hierarchy built without instruction caches")
-        del node.l2.retired[:]  # write-only log; see access_batch_columnar
-        if keys is None:
-            keys = l1i.translate(lines)
-        stamp = l1i.stamp
-        clock0 = l1i.clock
-        next_clock = probe_commit(l1i.slot_of_key, keys, stamp, clock0)
-        if next_clock >= 0:
-            l1i.clock = next_clock
-            l1i.record_batch(n, 0)
-            if self.energy is not None:
-                self.energy.l1_accesses += n
-            return 0
-        gathered = l1i.slot_of_key[keys]
-        slow = np.flatnonzero(gathered == 0)
-        ticks = np.arange(clock0, clock0 + n, dtype=np.int64)
-        timer = self.miss_timer
-        t_miss = timer() if timer is not None else 0
-        if (
-            self._miss_kernel_on
-            and self._miss_backoff == 0
-            and slow.size >= _MISS_KERNEL_MIN
-        ):
-            # Code keys carry no write bit, so the shared kernel sees a
-            # read-only group: no promotes, fills settle in E/S exactly
-            # like :meth:`_code_miss_fill`.
-            total = self._vector_miss_resolve(
-                node, l1i, lines, keys, gathered, slow, ticks, clock0
-            )
-            if total >= 0:
-                self.miss_kernel_commits += 1
-                if timer is not None:
-                    self.miss_ns += timer() - t_miss
-                return total
-            self.miss_kernel_bails += 1
-            self._miss_backoff = 8
-        elif self._miss_backoff:
-            self._miss_backoff -= 1
-        slow_list = slow.tolist()
-        slow_keys = keys[slow].tolist()
-        slow_lines = lines[slow].tolist()
-        n_slow = len(slow_list)
-        order_list = keys_sorted = None
-        heap: list = []
-        retired = l1i.retired
-        del retired[:]
-        fast_get = l1i.fastidx.get
-        stamp_mv = l1i._stamp_mv
-        code_miss_fill = self._code_miss_fill
-        misses = 0
-        total = 0
-        cursor = 0
-        si = 0
-        while True:
-            p_next = slow_list[si] if si < n_slow else n
-            if heap and heap[0] < p_next:
-                p = heappop(heap)
-                if p < cursor:
-                    continue
-                key = int(keys[p])
-                line = int(lines[p])
-            elif si < n_slow:
-                p = p_next
-                si += 1
-                if p < cursor:
-                    continue
-                key = slow_keys[si - 1]
-                line = slow_lines[si - 1]
-            else:
-                break
-            if p > cursor:
-                stamp[gathered[cursor:p]] = ticks[cursor:p]
-            cursor = p + 1
-            slot = fast_get(key)
-            if slot is not None:
-                stamp_mv[slot + 1] = clock0 + p
-                continue
-            misses += 1
-            l1i.clock = clock0 + p
-            total += code_miss_fill(node, line)
-            if retired:
-                if order_list is None:
-                    order = np.argsort(keys, kind="stable")
-                    order_list = order.tolist()
-                    keys_sorted = keys[order].tolist()
-                for rkey in retired:
-                    lo = bisect_left(keys_sorted, rkey)
-                    hi = bisect_right(keys_sorted, rkey, lo=lo)
-                    for pos in order_list[lo:hi]:
-                        if pos > p:
-                            heappush(heap, pos)
-                del retired[:]
-        if cursor < n:
-            stamp[gathered[cursor:]] = ticks[cursor:]
-        l1i.clock = clock0 + n
-        l1i.record_batch(n - misses, misses)
-        if self.energy is not None:
-            self.energy.l1_accesses += n
-        if timer is not None:
-            self.miss_ns += timer() - t_miss
-        return total
-
-    # ------------------------------------------------------------------
-    # vectorized miss path
-    # ------------------------------------------------------------------
-
-    def _vector_miss_resolve(
-        self,
-        node: CoherenceNode,
-        cache: ColumnarCache,
-        lines: np.ndarray,
-        keys: np.ndarray,
-        gathered: np.ndarray,
-        slow: np.ndarray,
-        ticks: np.ndarray,
-        clock0: int,
-    ) -> int:
-        """Resolve a batch's whole miss set with array commits, or bail.
-
-        ``slow`` are the batch positions whose access key failed the
-        batch-start probe of ``cache`` (the node's L1 or L1I).  The
-        kernel is all-or-nothing: it first *classifies* the slow set
-        without mutating anything, and only if every reference is
-        simple does it commit — otherwise it returns ``-1`` with the
-        hierarchy untouched and the caller runs the scalar walk.
-
-        A slow reference is simple when it folds into one of:
-
-        - a **cold fill** — line uncached everywhere: directory entry,
-          DRAM fetch, L2+L1 fill in E (or M when the batch writes it);
-        - an **L2-hit fill** — line in this node's L2 but not the L1:
-          L2 LRU touch, L1 fill (E→M silently folded when written; an
-          S-state line may not be written — upgrades stay scalar);
-        - a **silent promote** — line L1-resident in E with a slow
-          write key: E→M in both levels, no traffic, no latency;
-        - a **duplicate** — a later reference to a line the group
-          already filled or promoted: an LRU touch, nothing else.
-
-        Everything else bails: peer-cached cold lines (cache-to-cache
-        transfers, invalidations), S-state writes (upgrades), L2 sets
-        without evict-free room for the group's cold inserts (evictions
-        need scalar arbitration), L1 fill groups overflowing a set's
-        ways, and any
-        L1 victim whose line the batch itself references (its stamp is
-        no longer the batch-start value the way selection ranked on —
-        see :func:`repro.memory.miss_path.select_fill_slots`).
-
-        The commit replays, in array form, exactly the per-reference
-        mutations the scalar helpers would have made, in the same
-        first-occurrence order, so stats, LRU orders, directory state
-        and latencies are bit-identical — the differential suites and
-        goldens hold with the kernel on or off.
-        """
-        slow_keys = keys[slow]
-        uniq_ids, first_idx, inverse, any_write = group_slow_refs(slow_keys)
-        sok = cache.slot_of_key
-        rkeys = uniq_ids << 1
-        rslots = sok[rkeys]
-        res_idx = np.flatnonzero(rslots)
-        if res_idx.size and bool(
-            (cache.slot_state[rslots[res_idx] - 1] != EXCLUSIVE).any()
-        ):
-            return -1  # S-state write: needs a directory upgrade.
-        fill_idx = np.flatnonzero(rslots == 0)
-        slow_lines = lines[slow]
-        uniq_lines = slow_lines[first_idx]
-        n_fill = fill_idx.size
-        l2 = node.l2
-        l2_sok = l2.slot_of_key
-        n_cold = 0
-        cold_lines: List[int] = []
-        if n_fill:
-            # Stable first-occurrence order: the order scalar replay
-            # performs the fills in, hence the L2/L1 LRU insert order
-            # and the directory entry creation order.
-            fill_idx = fill_idx[np.argsort(first_idx[fill_idx], kind="stable")]
-            fill_lines = uniq_lines[fill_idx]
-            fkeys = rkeys[fill_idx]
-            # Array-level L2 probe: the L2 shares the dense key space,
-            # so one gather yields the whole group's slots (+1; 0 means
-            # absent) and a second the resident states.  The state read
-            # through index -1 on absent entries is masked off.
-            l2_slot_p1 = l2_sok[fkeys]
-            l2_arr = np.where(
-                l2_slot_p1 > 0, l2.slot_state[l2_slot_p1 - 1], INVALID
-            )
-            fill_write = any_write[fill_idx]
-            if bool((fill_write & (l2_arr == SHARED)).any()):
-                return -1  # S-state write: needs a directory upgrade.
-            cold_mask = l2_slot_p1 == 0
-            n_cold = int(cold_mask.sum())
-            if n_cold:
-                cold_fill_lines = fill_lines[cold_mask]
-                cold_lines = cold_fill_lines.tolist()
-                if not self.directory.all_uncached(cold_lines):
-                    return -1  # peer copies: transfers stay scalar.
-                # Evict-free way selection: every cold line must land
-                # in an empty L2 way (only cold lines insert; L2 hits
-                # just touch LRU).
-                l2_slots = select_empty_slots(
-                    l2.stamp,
-                    cold_fill_lines % l2.num_sets,
-                    l2.associativity,
-                )
-                if l2_slots is None:
-                    return -1  # an L2 insert would evict.
-            slots = select_fill_slots(
-                cache.stamp, fill_lines % cache.num_sets, cache.associativity
-            )
-            if slots is None:
-                return -1  # more fills than ways in some L1 set.
-            victim_lines = cache.slot_line[slots]
-            ev_idx = np.flatnonzero(victim_lines >= 0)
-            if ev_idx.size and bool(
-                np.isin(victim_lines[ev_idx], lines).any()
-            ):
-                return -1  # victim touched in-batch: ranks are stale.
-
-        # ---- commit: no bail past this point ------------------------
-        n = lines.size
-        energy = self.energy
-        fastidx = cache.fastidx
-        total = 0
-        if n_fill:
-            fill_final = np.where(
-                fill_write, MODIFIED, np.where(cold_mask, EXCLUSIVE, l2_arr)
-            )
-            # L2 scatter commit: cold lines insert into their selected
-            # empty ways, hits keep their slots; every fill stamps the
-            # next LRU tick in first-occurrence order (the scalar op
-            # order), and MODIFIED finals mirror into the write-fast
-            # keys — exactly ``fill``/``set_state``, without the
-            # per-line calls.
-            l2_fastidx = l2.fastidx
-            if n_cold:
-                cold_keys = fkeys[cold_mask]
-                l2_slot_p1[cold_mask] = l2_slots + 1
-                l2.slot_line[l2_slots] = cold_fill_lines
-                l2.slot_key[l2_slots] = cold_keys
-                l2_sok[cold_keys] = l2_slots + 1
-                l2_fastidx.update(
-                    zip(cold_keys.tolist(), l2_slots.tolist())
-                )
-            l2.slot_state[l2_slot_p1 - 1] = fill_final
-            l2.stamp[l2_slot_p1] = np.arange(
-                l2.clock, l2.clock + n_fill, dtype=np.int64
-            )
-            l2.clock += n_fill
-            l2_mod = fill_final == MODIFIED
-            if bool(l2_mod.any()):
-                l2_mslot_p1 = l2_slot_p1[l2_mod]
-                l2_sok[fkeys[l2_mod] | 1] = l2_mslot_p1
-                l2_fastidx.update(
-                    zip(
-                        (fkeys[l2_mod] | 1).tolist(),
-                        (l2_mslot_p1 - 1).tolist(),
-                    )
-                )
-            n_l2_hit = n_fill - n_cold
-            l2.record_batch(n_l2_hit, n_cold)
-            if cold_lines:
-                self.directory.record_cold_fills(cold_lines, node.node_id)
-            total = (
-                n_cold * self._l2_dir_latency
-                + self.dram.fetch_batch(n_cold)
-                + n_l2_hit * self._l2_hit_latency
-            )
-            if energy is not None:
-                energy.l2_accesses += n_fill
-                energy.dram_accesses += n_cold
-            if ev_idx.size:
-                ev_slots = slots[ev_idx]
-                vkeys = cache.slot_key[ev_slots]
-                for vkey in vkeys.tolist():
-                    del fastidx[vkey]
-                    fastidx.pop(vkey | 1, None)
-                sok[vkeys] = 0
-                sok[vkeys | 1] = 0
-            cache.slot_line[slots] = fill_lines
-            cache.slot_state[slots] = fill_final
-            cache.slot_key[slots] = fkeys
-            sok[fkeys] = slots + 1
-            fastidx.update(zip(fkeys.tolist(), slots.tolist()))
-            mod = fill_final == MODIFIED
-            if bool(mod.any()):
-                mkeys = fkeys[mod] | 1
-                mslots = slots[mod]
-                sok[mkeys] = mslots + 1
-                fastidx.update(zip(mkeys.tolist(), mslots.tolist()))
-        if res_idx.size:
-            # Silent E→M promotes, both levels (zero latency/traffic).
-            kb_slots = rslots[res_idx] - 1
-            cache.slot_state[kb_slots] = MODIFIED
-            kb_keys = rkeys[res_idx] | 1
-            sok[kb_keys] = kb_slots + 1
-            fastidx.update(zip(kb_keys.tolist(), kb_slots.tolist()))
-            # L2 mirror of the promote (inclusion guarantees residency
-            # in E): state to MODIFIED plus the write-fast key, no LRU
-            # movement — the array form of ``set_state``.
-            kb_read = rkeys[res_idx]
-            kb_l2_p1 = l2_sok[kb_read]
-            l2.slot_state[kb_l2_p1 - 1] = MODIFIED
-            l2_sok[kb_read | 1] = kb_l2_p1
-            l2.fastidx.update(
-                zip((kb_read | 1).tolist(), (kb_l2_p1 - 1).tolist())
-            )
-        # One whole-batch stamp scatter: fast positions kept their
-        # gathered slots, slow positions now resolve through the group;
-        # duplicate indices are last-write-wins, i.e. the final LRU
-        # order of the scalar fold.
-        slotp1 = rslots
-        if n_fill:
-            slotp1[fill_idx] = slots + 1
-        gathered[slow] = slotp1[inverse]
-        cache.stamp[gathered] = ticks
-        cache.clock = clock0 + n
-        # The walk was bypassed, so drain the retired log the way its
-        # prologue would have; nothing retired before this batch can
-        # matter to a later one.
-        del cache.retired[:]
-        cache.record_batch(n - n_fill, n_fill)
-        if energy is not None:
-            energy.l1_accesses += n
         return total
 
     # ------------------------------------------------------------------

@@ -16,18 +16,12 @@ and enforces the protocol invariants:
 - a line in S may be in several caches, all in S;
 - the directory's sharer set exactly matches the caches holding the line.
 
-The directory keeps this dict representation under every engine,
-including ``engine="columnar"``: it is consulted only on L2 misses and
-upgrades, which the span profiler attributes almost entirely to the
-(shared) miss path rather than the per-reference fast path the columnar
-engine vectorizes.  Cache probe-and-touch state moves into arrays
-(:mod:`repro.memory.columnar`) under that engine, but protocol
-transitions stay on one code path for all engines — the miss kernel's
-bulk entry points below (:meth:`Directory.all_uncached`,
-:meth:`Directory.record_cold_fills`) cover only the trivially-simple
-cold-fill case and bail everything else to the scalar helpers — which
-is what makes the three-way engine matrix a meaningful differential
-test rather than three parallel implementations of MESI.
+The directory is consulted only on L2 misses and upgrades, which both
+engines route through the same scalar protocol helpers: the batched
+engine vectorizes only the per-reference L1 fast path.  Protocol
+transitions therefore stay on one code path, which is what makes the
+scalar-versus-batched engine matrix a meaningful differential test
+rather than two parallel implementations of MESI.
 """
 
 from __future__ import annotations
@@ -68,27 +62,6 @@ class Directory:
     def __init__(self, stats: CoherenceStats):
         self.stats = stats
         self._entries: Dict[int, DirectoryEntry] = {}
-        # Cold-fill fast tier: ``{line: exclusive owner}`` for lines the
-        # vectorized miss kernel filled while they were uncached
-        # everywhere.  Such a line's full entry is always
-        # ``owner=node, sharers={node}``, so recording it is one int
-        # dict store instead of an entry object, a sharer set and two
-        # attribute writes — no GC-tracked allocations on the kernel's
-        # hottest path.  The record is *representation only*: every
-        # accessor below folds it in, and :meth:`_materialize` builds
-        # the real entry the moment any other path touches the line.
-        # Invariant: a line is never in both ``_cold`` and ``_entries``.
-        self._cold: Dict[int, int] = {}
-
-    def _materialize(self, line: int) -> DirectoryEntry:
-        """Get-or-create the entry for ``line``, folding in ``_cold``."""
-        entry = DirectoryEntry()
-        owner = self._cold.pop(line, None)
-        if owner is not None:
-            entry.sharers.add(owner)
-            entry.owner = owner
-        self._entries[line] = entry
-        return entry
 
     def lookup(self, line: int) -> DirectoryEntry:
         """Return (creating if absent) the entry for ``line``.
@@ -98,14 +71,16 @@ class Directory:
         self.stats.directory_lookups += 1
         entry = self._entries.get(line)
         if entry is None:
-            entry = self._materialize(line)
+            entry = DirectoryEntry()
+            self._entries[line] = entry
         return entry
 
     def peek(self, line: int) -> DirectoryEntry:
         """Entry for ``line`` without counting a lookup (checks/tests)."""
         entry = self._entries.get(line)
         if entry is None:
-            entry = self._materialize(line)
+            entry = DirectoryEntry()
+            self._entries[line] = entry
         return entry
 
     def record_fill(self, line: int, node: int, exclusive: bool) -> None:
@@ -126,53 +101,10 @@ class Directory:
             entry.owner = -1
         entry.sharers.add(node)
 
-    def all_uncached(self, lines: "list[int]") -> bool:
-        """``True`` iff no node holds any of ``lines``; no lookup counted.
-
-        The vectorized miss kernel's classification step: a group of
-        cold fills may vector-commit only when every line is uncached
-        everywhere (a cached copy means peer transfers/invalidations,
-        which stay on the scalar path).  Lookup counting happens at
-        commit time via :meth:`record_cold_fills`, so a backed-off
-        group charges nothing here — same as a scalar run that never
-        reached those lines.
-        """
-        entries = self._entries
-        cold = self._cold
-        for line in lines:
-            if line in cold:
-                return False
-            entry = entries.get(line)
-            if entry is not None and entry.sharers:
-                return False
-        return True
-
-    def record_cold_fills(self, lines: "list[int]", node: int) -> None:
-        """Bulk equivalent of ``lookup`` + exclusive ``record_fill``.
-
-        For every line (distinct, verified uncached by
-        :meth:`all_uncached`): count the directory lookup the scalar
-        miss would have performed and record ``node`` as exclusive
-        owner — in the cold tier when the line has no entry yet, in
-        place when a (sharerless) entry survives from an old probe.
-        """
-        self.stats.directory_lookups += len(lines)
-        entries_get = self._entries.get
-        cold = self._cold
-        for line in lines:
-            entry = entries_get(line)
-            if entry is None:
-                cold[line] = node
-            else:
-                entry.owner = node
-                entry.sharers.add(node)
-
     def record_eviction(self, line: int, node: int) -> None:
         """Note that ``node`` dropped its copy of ``line``."""
         entry = self._entries.get(line)
         if entry is None:
-            if self._cold.get(line) == node:
-                del self._cold[line]
             return
         entry.sharers.discard(node)
         if entry.owner == node:
@@ -185,8 +117,6 @@ class Directory:
         entry = self._entries.get(line)
         if entry is not None:
             entry.owner = -1
-        elif line in self._cold:
-            self._materialize(line).owner = -1
 
     def set_owner(self, line: int, node: int) -> None:
         """Promote ``node`` to exclusive owner (after invalidating others)."""
@@ -197,29 +127,23 @@ class Directory:
     def sharers_of(self, line: int) -> Set[int]:
         """Current sharer set (empty when uncached); no lookup counted."""
         entry = self._entries.get(line)
-        if entry is not None:
-            return set(entry.sharers)
-        owner = self._cold.get(line)
-        return {owner} if owner is not None else set()
+        return set(entry.sharers) if entry is not None else set()
 
     def tracked_lines(self) -> Set[int]:
         """All lines with at least one cached copy (for invariant checks)."""
-        return set(self._entries) | set(self._cold)
+        return set(self._entries)
 
     def snapshot(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
         """Deterministic ``{line: (owner, sorted sharers)}`` view.
 
         Entries with no sharers (created by :meth:`peek` probes) are
         omitted, so the snapshot depends only on protocol transitions.
-        The differential engine tests assert that scalar, batched and
-        columnar runs of the same cell end with *equal snapshots* — a
-        stronger bit-identity check than comparing counters alone.
+        The differential engine tests assert that scalar and batched
+        runs of the same cell end with *equal snapshots* — a stronger
+        bit-identity check than comparing counters alone.
         """
-        snap = {
+        return {
             line: (entry.owner, tuple(sorted(entry.sharers)))
             for line, entry in self._entries.items()
             if entry.sharers
         }
-        for line, owner in self._cold.items():
-            snap[line] = (owner, (owner,))
-        return snap

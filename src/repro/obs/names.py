@@ -101,8 +101,6 @@ SPAN_GEN_GENERATE = "sim.trace.generate"
 SPAN_GEN_REPLAY = "sim.trace.replay"
 SPAN_MEM_BATCHED = "sim.mem.batched"
 SPAN_MEM_SCALAR = "sim.mem.scalar"
-SPAN_MEM_COLUMNAR = "sim.mem.columnar"
-SPAN_MEM_MISS = "sim.mem.miss"
 SPAN_QUEUE = "sim.queue"
 SPAN_POLICY_DECIDE = "sim.policy"
 
@@ -122,8 +120,6 @@ SPAN_NAMES = frozenset({
     SPAN_GEN_REPLAY,
     SPAN_MEM_BATCHED,
     SPAN_MEM_SCALAR,
-    SPAN_MEM_COLUMNAR,
-    SPAN_MEM_MISS,
     SPAN_QUEUE,
     SPAN_POLICY_DECIDE,
 })
@@ -242,8 +238,6 @@ __all__ = [
     "SPAN_GEN_REPLAY",
     "SPAN_MEM_BATCHED",
     "SPAN_MEM_SCALAR",
-    "SPAN_MEM_COLUMNAR",
-    "SPAN_MEM_MISS",
     "SPAN_QUEUE",
     "SPAN_POLICY_DECIDE",
     "SPAN_NAMES",

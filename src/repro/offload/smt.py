@@ -57,12 +57,6 @@ class _ThreadState:
 class SMTOffloadEngine(OffloadEngine):
     """Off-loading engine with multi-threaded user cores."""
 
-    #: The blocked-switch scheduler interleaves threads mid-stream, so
-    #: the columnar engine's per-context dense-key precomputation does
-    #: not apply; ``engine="columnar"`` runs the batched engine here —
-    #: bit-identical results, batched speed.
-    _SUPPORTS_COLUMNAR = False
-
     def __init__(self, spec, policy, migration, config, controller=None,
                  bus=None, metrics=None, trace_store=None, profiler=None):
         super().__init__(spec, policy, migration, config, controller,

@@ -35,7 +35,7 @@ KB = 1024
 MB = 1024 * 1024
 
 #: Valid values for :attr:`SimulatorConfig.engine`.
-ENGINE_MODES = frozenset({"scalar", "batched", "columnar"})
+ENGINE_MODES = frozenset({"scalar", "batched"})
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,11 @@ class SimulatorConfig:
     #: the hierarchy.  ``"batched"`` (default) consumes each event's
     #: whole reference array at once (numpy set-index precomputation,
     #: run-length grouping, inlined L1 fast path); ``"scalar"`` is the
-    #: one-reference-per-iteration reference implementation;
-    #: ``"columnar"`` materializes every trace up front and keeps L1
-    #: state in flat numpy arrays over dense access keys, so a pure-hit
-    #: batch commits as one gather + one scatter (optionally
-    #: numba-compiled — see :mod:`repro.memory.columnar`).  All three
-    #: are bit-identical — same statistics, trace events, and metrics —
-    #: which the golden, engine-matrix and property suites enforce, so
-    #: this knob only selects speed, never results.
+    #: one-reference-per-iteration executable specification the
+    #: goldens are checked against.  The two are bit-identical — same
+    #: statistics, trace events, and metrics — which the golden,
+    #: engine-matrix and property suites enforce, so this knob only
+    #: selects speed, never results.
     engine: str = "batched"
     #: Open-loop service mode: arrival model, offered load, OS-core
     #: pool size/dispatch, and admission control (see

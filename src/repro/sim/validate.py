@@ -83,7 +83,8 @@ def _check_instruction_conservation(result: SimulationResult) -> None:
 def _check_cycle_composition(result: SimulationResult) -> None:
     for index, core in enumerate(result.stats.cores):
         recomposed = (
-            core.busy_cycles + core.offload_wait_cycles + core.decision_cycles
+            core.busy_cycles + core.offload_wait_cycles
+            + core.decision_cycles + core.idle_cycles
         )
         if core.total_cycles != recomposed:
             _fail(f"core {index} cycle buckets do not sum to its total")
@@ -92,7 +93,7 @@ def _check_cycle_composition(result: SimulationResult) -> None:
         if core.migration_cycles > core.offload_wait_cycles:
             _fail(f"core {index} migration cycles exceed its off-load wait")
         if min(core.busy_cycles, core.offload_wait_cycles,
-               core.decision_cycles) < 0:
+               core.decision_cycles, core.idle_cycles) < 0:
             _fail(f"core {index} has a negative cycle bucket")
 
 

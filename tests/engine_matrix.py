@@ -1,8 +1,8 @@
-"""Three-way engine matrix: scalar × batched × columnar, differentially.
+"""Engine matrix: scalar × batched, differentially.
 
 The golden suite pins each engine against committed numbers; this
 harness pins the engines against *each other*, on deeper state than any
-golden records.  Every cell is simulated once per engine and the three
+golden records.  Every cell is simulated once per engine and the two
 runs must agree on
 
 - every counter in ``SimulationStats`` (as nested dicts),
@@ -17,7 +17,7 @@ runs must agree on
 
 and each run must pass the MESI/fast-map invariant checker.
 
-The default tier runs three smoke cells; ``--runslow`` unlocks the full
+The default tier runs four smoke cells; ``--runslow`` unlocks the full
 matrix — every golden preset, every service golden cell, and a
 Hypothesis property that draws random cells across workloads, policies,
 model features and open-loop service configurations (arrival model ×
@@ -51,7 +51,7 @@ from repro.workloads.presets import get_workload
 
 from tests.goldens.regen import GOLDEN_CELLS, SERVICE_CELLS, SERVICE_SEEDS
 
-ENGINES = ("scalar", "batched", "columnar")
+ENGINES = ("scalar", "batched")
 
 #: Facets compared across engines, in failure-message order.
 FACETS = ("stats", "events", "latency", "directory", "caches")
@@ -95,7 +95,7 @@ def matrix_run(
 
     ``workload`` is a preset name or a literal :class:`WorkloadSpec`,
     so purpose-built cells (e.g. the miss-heavy cold-start spec below)
-    can ride the same three-way harness as the presets.
+    can ride the same harness as the presets.
     """
     config = SimulatorConfig(
         profile=TEST_SCALE,
@@ -130,25 +130,24 @@ def matrix_run(
 
 
 def assert_matrix_identical(**cell_kwargs: Any) -> Dict[str, Any]:
-    """Run a cell on all three engines; fail on the first facet drift.
+    """Run a cell on both engines; fail on the first facet drift.
 
     Returns the scalar reference run so callers can assert cell-shape
     properties (e.g. that an open-loop cell actually recorded requests).
     """
     runs = {engine: matrix_run(engine, **cell_kwargs) for engine in ENGINES}
     reference = runs["scalar"]
-    for engine in ("batched", "columnar"):
-        for facet in FACETS:
-            assert runs[engine][facet] == reference[facet], (
-                f"engine {engine!r} diverged from scalar on {facet!r} "
-                f"for cell {cell_kwargs!r}"
-            )
+    for facet in FACETS:
+        assert runs["batched"][facet] == reference[facet], (
+            f"batched engine diverged from scalar on {facet!r} "
+            f"for cell {cell_kwargs!r}"
+        )
     return reference
 
 
 # ----------------------------------------------------------------------
 # default tier: smoke cells (one closed-loop, one open-loop, one
-# feature-loaded) so every CI lane exercises the three-way harness
+# feature-loaded, one SMT) so every CI lane exercises the harness
 # ----------------------------------------------------------------------
 
 
@@ -180,15 +179,14 @@ def test_matrix_feature_loaded_cell():
     )
 
 
-def test_columnar_smt_fallback_matches_batched():
-    """SMT cells run the batched engine under ``engine="columnar"``.
+def test_smt_batched_matches_scalar():
+    """SMT cells run the blocked-switch scheduler on both engines.
 
-    The blocked-switch scheduler interleaves threads mid-stream, so the
-    columnar precomputation does not apply; the config must still be
-    accepted and stay bit-identical to batched.
+    ``simulate`` picks the SMT engine for ``threads_per_user_core > 1``;
+    its interleaved replay must stay bit-identical across engines.
     """
     results = {}
-    for engine in ("batched", "columnar"):
+    for engine in ENGINES:
         config = SimulatorConfig(
             profile=TEST_SCALE, seed=2010, engine=engine,
             threads_per_user_core=2,
@@ -197,8 +195,8 @@ def test_columnar_smt_fallback_matches_batched():
         policy = make_policy("HI", threshold=100, spec=spec, config=config)
         results[engine] = simulate(spec, policy, config=config)
     assert (
-        dataclasses.asdict(results["columnar"].stats)
-        == dataclasses.asdict(results["batched"].stats)
+        dataclasses.asdict(results["batched"].stats)
+        == dataclasses.asdict(results["scalar"].stats)
     )
 
 
@@ -227,11 +225,10 @@ def test_matrix_service_cells(tag, seed):
 
 _MB = 1024 * 1024
 
-#: Cold-start, miss-heavy cell for the vectorized miss-path kernel: the
-#: working set is drawn almost uniformly from far more lines than the
-#: run can touch twice, so nearly every batch is dominated by
-#: first-touch misses and the columnar walk's vector kernel commits
-#: (with a sprinkle of sharing so its bail path is exercised too).
+#: Cold-start, miss-heavy cell for the miss path: the working set is
+#: drawn almost uniformly from far more lines than the run can touch
+#: twice, so nearly every batch is dominated by first-touch misses
+#: (with a sprinkle of sharing so peer transfers are exercised too).
 #: Working-set lines are full-scale; the profile divides them by 32.
 MISS_HEAVY_SPEC = WorkloadSpec(
     name="matrix-miss-heavy",
@@ -253,8 +250,8 @@ MISS_HEAVY_SPEC = WorkloadSpec(
     interrupts=InterruptModel(standalone_rate=0.0, extension_probability=0.0),
 )
 
-#: Caches big enough that the cold stream never evicts (the kernel's
-#: commit regime): every first touch stays resident for the whole run.
+#: Caches big enough that the cold stream never evicts: every first
+#: touch stays resident for the whole run.
 MISS_HEAVY_MEMORY = MemorySystemConfig(
     l1=CacheConfig(16 * _MB, 16, hit_latency=0),
     l1i=CacheConfig(64 * 1024, 4, hit_latency=0),
@@ -278,33 +275,6 @@ def test_matrix_miss_heavy_cold_start_cell():
         if label.startswith("user")
     ]
     assert sum(s["misses"] for s in user_l1) > sum(s["hits"] for s in user_l1)
-
-    # And the columnar run must actually exercise the vector kernel's
-    # commit path (bails fall back to the scalar walk bit-identically,
-    # but a cell that only bails would pin nothing new).
-    config = SimulatorConfig(
-        profile=TEST_SCALE,
-        seed=2010,
-        engine="columnar",
-        num_user_cores=2,
-        enable_icache=True,
-        enable_tlb=True,
-        track_energy=True,
-        memory=MISS_HEAVY_MEMORY,
-    )
-    policy = make_policy(
-        "HI", threshold=100, spec=MISS_HEAVY_SPEC, config=config
-    )
-    sim = OffloadEngine(
-        MISS_HEAVY_SPEC, policy, AGGRESSIVE, config,
-        bus=TraceBus(_ListSink()),
-    )
-    # Pin the switch so the shape assertion stays meaningful when the
-    # suite itself runs under REPRO_MISS_KERNEL=0 (the matrix identity
-    # above is what that configuration exercises).
-    sim.hierarchy._miss_kernel_on = True
-    sim.run()
-    assert sim.hierarchy.miss_kernel_commits > 0
 
 
 MATRIX_CELLS = st.fixed_dictionaries(

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runner.jobspec import config_from_payload, config_to_payload
 from repro.sim.config import (
     DEFAULT_SCALE,
+    ENGINE_MODES,
     FULL_SCALE,
     TEST_SCALE,
     CacheConfig,
@@ -107,6 +109,25 @@ class TestSimulatorConfig:
 
     def test_window_traps_included_by_default(self):
         assert SimulatorConfig().include_window_traps is True
+
+    def test_engine_modes_are_scalar_and_batched(self):
+        assert ENGINE_MODES == {"scalar", "batched"}
+        for engine in sorted(ENGINE_MODES):
+            assert SimulatorConfig(engine=engine).engine == engine
+
+    @pytest.mark.parametrize("engine", ["columnar", "vectorized"])
+    def test_rejects_unknown_engine(self, engine):
+        with pytest.raises(ConfigurationError, match="engine must be one of"):
+            SimulatorConfig(engine=engine)
+
+    @pytest.mark.parametrize("engine", ["columnar", "vectorized"])
+    def test_payload_naming_unknown_engine_is_rejected(self, engine):
+        # Checkpoints and job payloads written elsewhere may still name
+        # an engine this build does not have.
+        payload = config_to_payload(SimulatorConfig())
+        payload["engine"] = engine
+        with pytest.raises(ConfigurationError, match="engine must be one of"):
+            config_from_payload(payload)
 
 
 class TestTable2:

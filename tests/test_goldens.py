@@ -33,7 +33,7 @@ from tests.goldens.regen import (
     service_golden_path,
 )
 
-ENGINES = ["scalar", "batched", "columnar"]
+ENGINES = ["scalar", "batched"]
 
 
 def _diff_lines(golden, actual):

@@ -1,6 +1,6 @@
-"""Property-based differential tests: batched ≡ scalar ≡ columnar.
+"""Property-based differential tests: batched ≡ scalar.
 
-The batch engines in :class:`repro.memory.hierarchy.MemoryHierarchy`
+The batched engine in :class:`repro.memory.hierarchy.MemoryHierarchy`
 claim *bit identity* with the scalar reference implementation.  The
 golden suite pins fixed cells; this module lets Hypothesis pick the
 cell — workload, policy, seed, model features, core counts — and then
@@ -11,13 +11,12 @@ demands that the engines agree on
 - final MESI directory state (owner + sharer sets per line),
 - throughput, and the MESI/fast-map invariants at end of run.
 
-Lower-level properties drive random reference arrays straight through
-``access_batch`` / ``access_batch_columnar`` against a fold of
-``access`` on a replica hierarchy, where shrinking produces minimal
-counterexample streams.  A ``--runslow`` property additionally draws
-open-loop OS-core-pool cells (dispatch × pool size × arrival model)
-and asserts counter, RequestEvent and latency parity of the columnar
-engine against batched.
+A lower-level property drives random reference arrays straight through
+``access_batch`` against a fold of ``access`` on a replica hierarchy,
+where shrinking produces minimal counterexample streams.  A
+``--runslow`` property additionally draws open-loop OS-core-pool cells
+(dispatch × pool size × arrival model) and asserts counter,
+RequestEvent and latency parity of the batched engine against scalar.
 """
 
 from __future__ import annotations
@@ -87,15 +86,14 @@ def test_engines_bit_identical_on_random_cells(cell):
     scalar, scalar_events = _run(
         "scalar", workload, policy_name, seed, **cell
     )
-    for engine in ("batched", "columnar"):
-        other, other_events = _run(
-            engine, workload, policy_name, seed, **cell
-        )
-        assert (
-            dataclasses.asdict(scalar.stats) == dataclasses.asdict(other.stats)
-        ), f"{engine} stats diverged from scalar"
-        assert scalar_events == other_events, f"{engine} events diverged"
-        assert scalar.throughput == other.throughput
+    batched, batched_events = _run(
+        "batched", workload, policy_name, seed, **cell
+    )
+    assert (
+        dataclasses.asdict(scalar.stats) == dataclasses.asdict(batched.stats)
+    ), "batched stats diverged from scalar"
+    assert scalar_events == batched_events, "batched events diverged"
+    assert scalar.throughput == batched.throughput
 
 
 # ---------------------------------------------------------------------------
@@ -154,34 +152,8 @@ def test_access_batch_equals_access_fold(batches):
     batched.check_invariants()
 
 
-@given(batches=BATCHES)
-@settings(max_examples=200, deadline=None)
-def test_access_batch_columnar_equals_access_fold(batches):
-    """Columnar batches ≡ scalar fold on a ColumnarCache hierarchy.
-
-    The columnar replica swaps its L1s to the array representation over
-    the full 48-line universe before the first access, then replays the
-    same batches; residency, LRU order, per-cache counters and the
-    directory snapshot must all match the scalar hierarchy's.
-    """
-    scalar = MemoryHierarchy(_TINY_MEMORY, ["a", "b"])
-    columnar = MemoryHierarchy(_TINY_MEMORY, ["a", "b"])
-    columnar.enable_columnar(np.arange(48, dtype=np.int64))
-    for node, refs in batches:
-        lines = np.array([line for line, _ in refs], dtype=np.int64)
-        writes = np.array([w for _, w in refs], dtype=np.int64)
-        scalar_total = 0
-        for line, is_write in refs:
-            scalar_total += scalar.access(node, line, bool(is_write))
-        columnar_total = columnar.access_batch_columnar(node, lines, writes)
-        assert scalar_total == columnar_total
-    assert _state(scalar) == _state(columnar)
-    scalar.check_invariants()
-    columnar.check_invariants()
-
-
 # ---------------------------------------------------------------------------
-# OS-core pool dispatch differential (open loop, columnar vs batched)
+# OS-core pool dispatch differential (open loop, batched vs scalar)
 # ---------------------------------------------------------------------------
 
 POOL_CELLS = st.fixed_dictionaries(
@@ -201,17 +173,17 @@ POOL_CELLS = st.fixed_dictionaries(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_oscore_pool_dispatch_columnar_matches_batched(cell):
+def test_oscore_pool_dispatch_batched_matches_scalar(cell):
     """Counter + RequestEvent + latency parity under every dispatch mode.
 
     Open-loop cells route off-loads through the
-    :class:`~repro.offload.oscore.OsCorePool`; the columnar engine only
+    :class:`~repro.offload.oscore.OsCorePool`; the batched engine only
     changes how reference streams are replayed, so pool dispatch,
     per-request latency records and the tail snapshot must be
-    bit-identical to the batched engine on every drawn cell.
+    bit-identical to the scalar engine on every drawn cell.
     """
     runs = {}
-    for engine in ("batched", "columnar"):
+    for engine in ("scalar", "batched"):
         config = SimulatorConfig(
             profile=TEST_SCALE,
             seed=cell["seed"],
@@ -229,18 +201,18 @@ def test_oscore_pool_dispatch_columnar_matches_batched(cell):
         sink = _ListSink()
         result = simulate(spec, policy, config=config, bus=TraceBus(sink))
         runs[engine] = (result, sink.records)
+    scalar, scalar_events = runs["scalar"]
     batched, batched_events = runs["batched"]
-    columnar, columnar_events = runs["columnar"]
     assert (
-        dataclasses.asdict(batched.stats) == dataclasses.asdict(columnar.stats)
+        dataclasses.asdict(scalar.stats) == dataclasses.asdict(batched.stats)
     )
+    scalar_requests = [
+        r for r in scalar_events if r.get("kind") == RequestEvent.kind
+    ]
     batched_requests = [
         r for r in batched_events if r.get("kind") == RequestEvent.kind
     ]
-    columnar_requests = [
-        r for r in columnar_events if r.get("kind") == RequestEvent.kind
-    ]
-    assert batched_requests, "open-loop cell recorded no RequestEvents"
-    assert batched_requests == columnar_requests
-    assert batched_events == columnar_events
-    assert batched.latency.to_dict() == columnar.latency.to_dict()
+    assert scalar_requests, "open-loop cell recorded no RequestEvents"
+    assert batched_requests == scalar_requests
+    assert batched_events == scalar_events
+    assert batched.latency.to_dict() == scalar.latency.to_dict()

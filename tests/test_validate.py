@@ -7,6 +7,7 @@ import pytest
 from repro.core.policies import AlwaysOffload, HardwareInstrumentation, NeverOffload
 from repro.errors import SimulationError
 from repro.offload.migration import AGGRESSIVE, CONSERVATIVE
+from repro.service.config import ServiceConfig
 from repro.sim.config import SimulatorConfig, TEST_SCALE
 from repro.sim.simulator import simulate, simulate_baseline
 from repro.sim.validate import validate_result
@@ -54,6 +55,24 @@ class TestCleanRunsValidate:
             get_workload("derby"), HardwareInstrumentation(threshold=100),
             AGGRESSIVE, config,
         )
+        validate_result(result)
+
+    def test_open_loop_run_with_idle_cores_validates(self):
+        # User cores that outpace their Poisson arrivals idle; idle
+        # cycles are part of each core's total and must be recomposed.
+        config = dataclasses.replace(
+            CONFIG,
+            num_user_cores=2,
+            service=ServiceConfig(
+                arrivals="poisson", mean_interarrival_cycles=10_000.0,
+                os_cores=1,
+            ),
+        )
+        result = simulate(
+            get_workload("apache"), HardwareInstrumentation(threshold=100),
+            AGGRESSIVE, config,
+        )
+        assert any(core.idle_cycles > 0 for core in result.stats.cores)
         validate_result(result)
 
 
