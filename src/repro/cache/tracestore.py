@@ -28,6 +28,10 @@ bytes and the second replace is a no-op overwrite.  A corrupt or
 truncated entry is *never* fatal — it logs a warning and the store
 falls back to live generation.  An in-process LRU keeps decoded
 entries hot across the cells of a shard.
+
+Decoding reads each column once and builds each distinct event once
+per entry: every position holding the same row shares one frozen
+event object (see ``_decode``).
 """
 
 from __future__ import annotations
@@ -308,6 +312,42 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+#: Invocation columns in the order ``_decode`` unpacks a row, with the
+#: dtype ``_encode`` writes.  Checking the dtype up front makes
+#: ``tolist()`` yield exactly the Python types the events carry.
+_INV_COLUMNS = (
+    ("inv_vector", np.int64),
+    ("inv_name", np.int64),
+    ("inv_pstate", np.int64),
+    ("inv_g0", np.int64),
+    ("inv_g1", np.int64),
+    ("inv_i0", np.int64),
+    ("inv_i1", np.int64),
+    ("inv_pre", np.int64),
+    ("inv_shared", np.float64),
+    ("inv_flags", np.uint8),
+    ("inv_size", np.int64),
+)
+
+
+def _invocation(names: List[str], row: Tuple) -> OSInvocation:
+    """Build one event from a ``(length, *_INV_COLUMNS)`` row."""
+    (length, vector, name, pstate, g0, g1, i0, i1,
+     pre, shared, flags, size) = row
+    return OSInvocation(
+        vector=vector,
+        name=names[name],
+        astate=ArchitectedState(pstate=pstate, g0=g0, g1=g1, i0=i0, i1=i1),
+        length=length,
+        pre_interrupt_length=pre,
+        shared_fraction=shared,
+        is_window_trap=bool(flags & 1),
+        is_interrupt=bool(flags & 2),
+        interrupts_enabled=bool(flags & 4),
+        size_units=size,
+    )
+
+
 def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceData:
     count = int(manifest["events"])
     names = manifest["names"]
@@ -315,6 +355,7 @@ def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceDa
     lengths = arrays["lengths"]
     _require(kinds.shape == (count,), "event kind array truncated")
     _require(lengths.shape == (count,), "event length array truncated")
+    _require(lengths.dtype == np.int64, "event length dtype mismatch")
     data_starts = arrays["data_starts"]
     data_lines = arrays["data_lines"]
     data_writes = arrays["data_writes"]
@@ -337,44 +378,35 @@ def _decode(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> _TraceDa
             code_lines.shape[0] == int(code_starts[-1]), "code stream truncated"
         )
     total = int(manifest["invocations"])
-    fields = {
-        name: arrays[name]
-        for name in (
-            "inv_vector", "inv_name", "inv_pstate", "inv_g0", "inv_g1",
-            "inv_i0", "inv_i1", "inv_pre", "inv_size", "inv_shared",
-            "inv_flags",
-        )
-    }
-    for name, array in fields.items():
+    columns = []
+    for name, dtype in _INV_COLUMNS:
+        array = arrays[name]
         _require(array.shape == (total,), f"{name} array truncated")
+        _require(array.dtype == dtype, f"{name} dtype mismatch")
+        columns.append(array.tolist())
+    kind_list = kinds.tolist()
+    invoked = count - kind_list.count(0)
+    _require(invoked <= total, "invocation array shorter than event stream")
+    _require(invoked >= total, "invocation array longer than event stream")
+    # Stored streams repeat a few hundred distinct rows thousands of
+    # times, so each distinct event is built once and shared by every
+    # position that holds it.  Sharing is safe: events are frozen and
+    # every consumer compares or hashes them by value.
+    segments: Dict[int, UserSegment] = {}
+    invocations: Dict[Tuple, OSInvocation] = {}
+    rows = zip(*columns)
     events: List[TraceEvent] = []
-    position = 0
-    for index in range(count):
-        if kinds[index] == 0:
-            events.append(UserSegment(instructions=int(lengths[index])))
-            continue
-        _require(position < total, "invocation array shorter than event stream")
-        flags = int(fields["inv_flags"][position])
-        events.append(OSInvocation(
-            vector=int(fields["inv_vector"][position]),
-            name=names[int(fields["inv_name"][position])],
-            astate=ArchitectedState(
-                pstate=int(fields["inv_pstate"][position]),
-                g0=int(fields["inv_g0"][position]),
-                g1=int(fields["inv_g1"][position]),
-                i0=int(fields["inv_i0"][position]),
-                i1=int(fields["inv_i1"][position]),
-            ),
-            length=int(lengths[index]),
-            pre_interrupt_length=int(fields["inv_pre"][position]),
-            shared_fraction=float(fields["inv_shared"][position]),
-            is_window_trap=bool(flags & 1),
-            is_interrupt=bool(flags & 2),
-            interrupts_enabled=bool(flags & 4),
-            size_units=int(fields["inv_size"][position]),
-        ))
-        position += 1
-    _require(position == total, "invocation array longer than event stream")
+    for kind, length in zip(kind_list, lengths.tolist()):
+        if kind == 0:
+            event = segments.get(length)
+            if event is None:
+                event = segments[length] = UserSegment(instructions=length)
+        else:
+            row = (length, *next(rows))
+            event = invocations.get(row)
+            if event is None:
+                event = invocations[row] = _invocation(names, row)
+        events.append(event)
     return _TraceData(
         kind=str(manifest["kind"]),
         budget=int(manifest["budget"]),

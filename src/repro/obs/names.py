@@ -99,6 +99,7 @@ SPAN_SIM_WARMUP = "sim.warmup"
 SPAN_SIM_ROI = "sim.roi"
 SPAN_GEN_GENERATE = "sim.trace.generate"
 SPAN_GEN_REPLAY = "sim.trace.replay"
+SPAN_TRACE_LOAD = "sim.trace.load"
 SPAN_MEM_BATCHED = "sim.mem.batched"
 SPAN_MEM_SCALAR = "sim.mem.scalar"
 SPAN_QUEUE = "sim.queue"
@@ -118,6 +119,7 @@ SPAN_NAMES = frozenset({
     SPAN_SIM_ROI,
     SPAN_GEN_GENERATE,
     SPAN_GEN_REPLAY,
+    SPAN_TRACE_LOAD,
     SPAN_MEM_BATCHED,
     SPAN_MEM_SCALAR,
     SPAN_QUEUE,
@@ -236,6 +238,7 @@ __all__ = [
     "SPAN_SIM_ROI",
     "SPAN_GEN_GENERATE",
     "SPAN_GEN_REPLAY",
+    "SPAN_TRACE_LOAD",
     "SPAN_MEM_BATCHED",
     "SPAN_MEM_SCALAR",
     "SPAN_QUEUE",

@@ -242,9 +242,10 @@ class OffloadEngine:
         self.contexts: List[_CoreContext] = []
         for index in range(n_user):
             if trace_store is not None:
-                generator = trace_store.trace_source(
-                    spec, config, index, slack_budget
-                )
+                with self.profiler.span(names.SPAN_TRACE_LOAD):
+                    generator = trace_store.trace_source(
+                        spec, config, index, slack_budget
+                    )
             else:
                 generator = TraceGenerator(
                     spec, config.profile, seed=config.seed, thread_id=index
@@ -328,9 +329,10 @@ class OffloadEngine:
         if invocations <= 0:
             return
         if self._trace_store is not None:
-            events: Iterator[TraceEvent] = self._trace_store.priming_events(
-                self.spec, self.config
-            )
+            with self.profiler.span(names.SPAN_TRACE_LOAD):
+                events: Iterator[TraceEvent] = self._trace_store.priming_events(
+                    self.spec, self.config
+                )
         else:
             generator = TraceGenerator(
                 self.spec, self.config.profile, seed=self.config.seed + 7919

@@ -77,9 +77,10 @@ class SMTOffloadEngine(OffloadEngine):
             for slot in range(threads):
                 thread_id = core_index * threads + slot
                 if trace_store is not None:
-                    generator = trace_store.trace_source(
-                        spec, config, thread_id, budget * 2 + 1
-                    )
+                    with self.profiler.span(names.SPAN_TRACE_LOAD):
+                        generator = trace_store.trace_source(
+                            spec, config, thread_id, budget * 2 + 1
+                        )
                 else:
                     generator = TraceGenerator(
                         spec, config.profile, seed=config.seed,

@@ -15,6 +15,7 @@ import logging
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.cache import (
@@ -27,13 +28,21 @@ from repro.cache import (
     cache_stats,
     resolve_cache_root,
 )
+from repro.cache.keys import PRIMING_SEED_OFFSET, TRACE_KIND
 from repro.cache.paths import CACHE_ENV_VAR, TRACES_SUBDIR
+from repro.cache.tracestore import (
+    _decode,
+    _encode,
+    _materialize_priming,
+    _materialize_trace,
+)
 from repro.experiments.common import run_job_grid
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import JobSpec, worker
 from repro.runner.jobspec import config_to_payload
 from repro.sim.config import SimulatorConfig, TEST_SCALE
 from repro.sim.simulator import make_policy, simulate
+from repro.workloads.base import OSInvocation
 from repro.workloads.presets import get_workload
 
 from tests.goldens.regen import GOLDEN_CELLS, golden_path, run_cell
@@ -140,6 +149,117 @@ def test_corrupt_npz_falls_back_with_warning(tmp_path, caplog):
     fresh = TraceStore(root)
     assert run_cell(workload, seed, "scalar", trace_store=fresh) == committed
     assert fresh.counters["trace_misses"] == 0
+
+
+def _shorten(name):
+    def corrupt(arrays):
+        arrays[name] = arrays[name][:-1]
+    return corrupt
+
+
+def _flip_kind(old, new):
+    def corrupt(arrays):
+        kinds = arrays["kinds"].copy()
+        kinds[np.flatnonzero(kinds == old)[0]] = new
+        arrays["kinds"] = kinds
+    return corrupt
+
+
+def _narrow_data_lines(arrays):
+    arrays["data_lines"] = arrays["data_lines"].astype(np.int32)
+
+
+@pytest.mark.parametrize(
+    ("corrupt", "icache", "message"),
+    [
+        (_shorten("inv_shared"), False, "inv_shared array truncated"),
+        (_flip_kind(0, 1), False, "invocation array shorter than event stream"),
+        (_flip_kind(1, 0), False, "invocation array longer than event stream"),
+        (_narrow_data_lines, False, "data line dtype mismatch"),
+        (_shorten("code_lines"), True, "code stream truncated"),
+    ],
+    ids=["inv-column-short", "extra-os-event", "missing-os-event",
+         "data-lines-int32", "code-lines-short"],
+)
+def test_structurally_corrupt_entry_falls_back(
+    corrupt, icache, message, tmp_path, caplog
+):
+    workload, seed = GOLDEN_CELLS[0]
+    if icache:
+        # No golden cell models the I-cache: live generation is the
+        # reference the fallback must reproduce.
+        config = SimulatorConfig(profile=TEST_SCALE, seed=seed, enable_icache=True)
+        expected = _run_stats(config)
+
+        def run(store):
+            return _run_stats(config, store)
+    else:
+        expected = json.loads(golden_path(workload, seed).read_text())
+
+        def run(store):
+            return run_cell(workload, seed, "scalar", trace_store=store)
+    root = _store_root(tmp_path)
+    run(TraceStore(root))
+    manifest = next(
+        path for path in _trace_files(root, ".json")
+        if json.loads(path.read_text())["kind"] == TRACE_KIND
+    )
+    npz = manifest.with_suffix(".npz")
+    with np.load(npz) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    corrupt(arrays)
+    with open(npz, "wb") as handle:
+        np.savez(handle, **arrays)
+    store = TraceStore(root)
+    with caplog.at_level(logging.WARNING, logger="repro.cache"):
+        assert run(store) == expected
+    warnings = [r.getMessage() for r in caplog.records]
+    assert any(
+        "corrupt trace-cache entry" in text and message in text
+        for text in warnings
+    ), warnings
+    assert store.counters["trace_misses"] == 1
+
+
+def _recorded_entry(kind):
+    spec = get_workload("apache")
+    if kind == "trace":
+        return _materialize_trace(spec, TEST_SCALE, 7, 0, 40_000, icache=True)
+    return _materialize_priming(spec, TEST_SCALE, 7 + PRIMING_SEED_OFFSET, 3000)
+
+
+def _field_types(event):
+    fields = {name: type(value) for name, value in vars(event).items()}
+    if isinstance(event, OSInvocation):
+        fields["astate"] = {k: type(v) for k, v in vars(event.astate).items()}
+    return fields
+
+
+@pytest.mark.parametrize("kind", ["trace", "priming"])
+def test_decode_round_trips_and_shares_distinct_events(kind):
+    recorded = _recorded_entry(kind)
+    arrays, manifest = _encode(recorded)
+    decoded = _decode(json.loads(json.dumps(manifest)), arrays)
+    assert len(decoded.events) == len(recorded.events)
+    for got, want in zip(decoded.events, recorded.events):
+        assert type(got) is type(want)
+        assert got == want
+        assert _field_types(got) == _field_types(want)
+        if isinstance(want, OSInvocation):
+            assert got.shared_fraction.hex() == want.shared_fraction.hex()
+    # One object per distinct event, and the stream does repeat.
+    distinct = set(decoded.events)
+    assert len(distinct) < len(decoded.events)
+    assert len({id(event) for event in decoded.events}) == len(distinct)
+    for name in ("data_lines", "data_writes", "data_starts",
+                 "code_lines", "code_starts"):
+        want = getattr(recorded, name)
+        got = getattr(decoded, name)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_unreadable_manifest_falls_back_with_warning(tmp_path, caplog):

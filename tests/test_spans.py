@@ -260,3 +260,25 @@ class TestAcceptance:
         config = SimulatorConfig(profile=TEST_SCALE)
         batch = run_batch([JobSpec("derby", "HI", 100, 0)], config)
         assert all(result.profile is None for result in batch)
+
+
+class TestEngineSpans:
+    def test_trace_store_reads_are_attributed(self, tmp_path):
+        from repro.cache import TraceStore
+        from repro.sim.simulator import make_policy, simulate
+        from repro.workloads.presets import get_workload
+
+        config = SimulatorConfig(profile=TEST_SCALE, num_user_cores=2)
+        spec = get_workload("apache")
+
+        def load_calls(trace_store):
+            profiler = SpanProfiler()
+            policy = make_policy("HI", threshold=100, spec=spec, config=config)
+            simulate(spec, policy, config=config, trace_store=trace_store,
+                     profiler=profiler)
+            return flatten_calls(profiler.to_dict()).get(names.SPAN_TRACE_LOAD)
+
+        # One read per user-core trace plus one for the priming stream.
+        store = TraceStore(str(tmp_path / "cache"))
+        assert load_calls(store) == config.num_user_cores + 1
+        assert load_calls(None) is None
