@@ -3,8 +3,8 @@
 The batch runner exists to make grid sweeps scale with cores, so this
 bench regresses exactly that: a 16-cell Figure-4-style grid executed
 serially and with 2 worker processes must show a >= 1.5x speedup (the
-budget leaves headroom for pool start-up, shard submission, and result
-marshalling on 2-core CI runners).
+budget leaves headroom for pool start-up, per-cell task submission, and
+result marshalling on 2-core CI runners).
 
 Methodology notes:
 

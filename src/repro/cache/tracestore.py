@@ -27,7 +27,7 @@ so concurrent batch workers can race on a key: both compute the same
 bytes and the second replace is a no-op overwrite.  A corrupt or
 truncated entry is *never* fatal — it logs a warning and the store
 falls back to live generation.  An in-process LRU keeps decoded
-entries hot across the cells of a shard.
+entries hot across the cells a worker process runs.
 
 Decoding reads each column once and builds each distinct event once
 per entry: every position holding the same row shares one frozen
@@ -62,8 +62,10 @@ from repro.workloads.generator import TraceEvent, TraceGenerator
 logger = logging.getLogger(__name__)
 
 #: Decoded entries kept hot per process.  Sized for the report grids
-#: (six workloads round-robin across a shard) while bounding memory:
-#: a DEFAULT_SCALE entry is a few MB.
+#: while bounding memory (a DEFAULT_SCALE entry is a few MB): the
+#: scheduler hands each worker the groups' leaders first, then the
+#: followers in submission order, which in those grids is one workload
+#: after another, so only a few workloads' entries are in use at once.
 DEFAULT_LRU_ENTRIES = 8
 
 _EMPTY_LINES = np.empty(0, dtype=np.int64)

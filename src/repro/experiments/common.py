@@ -153,7 +153,7 @@ def run_job_grid(
     without an explicit seed inherit ``config.seed`` (so a whole grid
     divides by one shared baseline run, matching the paper's
     methodology), duplicate cells are deduplicated rather than
-    re-simulated, and the batch is sharded over ``jobs`` worker
+    re-simulated, and the batch is spread over ``jobs`` worker
     processes with checkpoint/resume when ``checkpoint_dir`` is given.
     """
     config = config or default_config()

@@ -86,6 +86,7 @@ REPRO_CACHE_RESULT_HITS_TOTAL = "repro_cache_result_hits_total"
 REPRO_CACHE_RESULT_MISSES_TOTAL = "repro_cache_result_misses_total"
 REPRO_CACHE_READ_BYTES_TOTAL = "repro_cache_read_bytes_total"
 REPRO_CACHE_WRITTEN_BYTES_TOTAL = "repro_cache_written_bytes_total"
+REPRO_CACHE_BASELINE_RUNS_TOTAL = "repro_cache_baseline_runs_total"
 
 # --- span names (closed registry for repro.obs.spans; rule R305) ----
 SPAN_CELL = "cell"
@@ -176,6 +177,7 @@ METRIC_NAMES = frozenset({
     REPRO_CACHE_RESULT_MISSES_TOTAL,
     REPRO_CACHE_READ_BYTES_TOTAL,
     REPRO_CACHE_WRITTEN_BYTES_TOTAL,
+    REPRO_CACHE_BASELINE_RUNS_TOTAL,
 })
 
 __all__ = [
@@ -226,6 +228,7 @@ __all__ = [
     "REPRO_CACHE_RESULT_MISSES_TOTAL",
     "REPRO_CACHE_READ_BYTES_TOTAL",
     "REPRO_CACHE_WRITTEN_BYTES_TOTAL",
+    "REPRO_CACHE_BASELINE_RUNS_TOTAL",
     "METRIC_NAMES",
     "SPAN_CELL",
     "SPAN_CELL_SETUP",

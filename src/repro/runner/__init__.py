@@ -9,10 +9,11 @@ subsystem executes such grids fast and safely:
 - :func:`derive_seed` — deterministic per-job seed derivation from a
   single root seed (SHA-256 based, order- and worker-count-independent);
 - :class:`BatchRunner` / :func:`run_batch` — the scheduler: serial
-  reference path (``jobs=1``) or a sharded
-  :class:`~concurrent.futures.ProcessPoolExecutor` pool, with per-job
-  timeout/retry, captured-traceback failure records, and ``runner_*``
-  metrics in a :class:`~repro.obs.metrics.MetricsRegistry`;
+  reference path (``jobs=1``) or a
+  :class:`~concurrent.futures.ProcessPoolExecutor` pool fed one cell
+  per task, leader-first, with per-job timeout/retry,
+  captured-traceback failure records, and ``runner_*`` metrics in a
+  :class:`~repro.obs.metrics.MetricsRegistry`;
 - :class:`CheckpointManifest` / :class:`BaselineStore` — the JSONL
   checkpoint manifest behind ``--resume`` and the process-safe on-disk
   baseline memo;
@@ -47,7 +48,6 @@ from repro.runner.scheduler import (
     BatchRunner,
     CellUpdate,
     run_batch,
-    shard_jobs,
 )
 from repro.runner.telemetry import (
     SweepMonitor,
@@ -82,6 +82,5 @@ __all__ = [
     "execute_job",
     "read_grid_manifest",
     "run_batch",
-    "shard_jobs",
     "write_grid_manifest",
 ]

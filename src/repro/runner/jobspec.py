@@ -22,9 +22,9 @@ Two properties the rest of the subsystem leans on:
 
 :func:`derive_seed` is the subsystem's only source of randomness
 control: child seeds are drawn from a root seed plus the job's identity
-through SHA-256, so any grid ordering, sharding, or worker count yields
-the same per-cell seed — the foundation of the serial == parallel
-determinism guarantee.
+through SHA-256, so any grid ordering, dispatch order, or worker count
+yields the same per-cell seed — the foundation of the serial ==
+parallel determinism guarantee.
 """
 
 from __future__ import annotations

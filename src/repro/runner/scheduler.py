@@ -1,19 +1,22 @@
-"""Batch scheduler: shards a job grid across worker processes.
+"""Batch scheduler: runs a job grid across worker processes.
 
 :class:`BatchRunner` turns a list of :class:`~repro.runner.jobspec.JobSpec`
 cells into a :class:`~repro.runner.jobspec.BatchResult`:
 
 - ``jobs=1`` executes in-process (no pool, no pickling) — the reference
   serial path;
-- ``jobs>1`` shards the grid round-robin over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Shards amortise
-  submission overhead; because every cell is independently seeded, the
-  sharding, worker count, and completion order cannot change any cell's
-  measurements, so both paths are bit-identical.
+- ``jobs>1`` submits every cell as its own task to a
+  :class:`~concurrent.futures.ProcessPoolExecutor`, leader-first (see
+  :func:`leaders_first`): the first cell of each ``(workload, seed)``
+  group goes ahead of all the others, so the workers generate
+  different groups' traces and baselines side by side instead of the
+  same ones twice.  Because every cell is independently seeded, the
+  dispatch order, worker count, and completion order cannot change any
+  cell's measurements, so both paths are bit-identical.
 
 Fault tolerance is layered: the worker converts cell exceptions and
 timeouts into ``failed`` records (the batch continues); the scheduler
-converts a crashed *worker process* into failed records for its shard;
+converts a crashed *worker process* into a failed record for its cell;
 ``retries=k`` re-executes failed cells up to ``k`` more times (in-process,
 so a broken pool cannot block recovery) before their failure becomes
 final.
@@ -44,7 +47,9 @@ import logging
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.cache.paths import baselines_dir
 from repro.errors import ReproError
@@ -100,10 +105,6 @@ ProgressCallback = Callable[[CellUpdate, int, int], None]
 #: the scheduler wakes this often to fold worker heartbeats in.
 _TELEMETRY_POLL_S = 0.25
 
-#: Shards per worker: enough slack that an uneven shard cannot idle the
-#: pool for long, few enough that submission overhead stays negligible.
-SHARDS_PER_WORKER = 4
-
 #: Histogram bucket edges (seconds) for per-cell wall time.
 _DURATION_BUCKETS = (0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0)
 
@@ -112,20 +113,28 @@ class BatchInterrupted(ReproError):
     """Raised to abort a batch between cells (checkpoint stays valid)."""
 
 
-def shard_jobs(items: Sequence, num_shards: int) -> List[List]:
-    """Round-robin ``items`` into at most ``num_shards`` non-empty lists.
+def leaders_first(payloads: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Reorder ``payloads`` so each ``(workload, seed)`` group's first
+    cell comes first.
 
-    Round-robin (rather than contiguous slicing) spreads a grid's
-    expensive cells — which cluster by workload and threshold — across
-    shards, evening out shard runtimes.
+    Those two fields key a cell's trace-store entries and its baseline
+    (the config is shared by the whole batch).  The leaders, in
+    submission order, are followed by every other cell, also in
+    submission order: parallel workers then fill different groups'
+    entries at once, and a follower usually finds its group's entries
+    and baseline already on disk.
     """
-    if num_shards < 1:
-        raise ReproError("need at least one shard")
-    count = min(num_shards, len(items))
-    shards: List[List] = [[] for _ in range(count)]
-    for index, item in enumerate(items):
-        shards[index % count].append(item)
-    return shards
+    leaders: List[Dict[str, Any]] = []
+    followers: List[Dict[str, Any]] = []
+    seen: Set[Tuple[str, int]] = set()
+    for payload in payloads:
+        key = (payload["job"]["workload"], payload["job"]["seed"])
+        if key in seen:
+            followers.append(payload)
+        else:
+            seen.add(key)
+            leaders.append(payload)
+    return leaders + followers
 
 
 class BatchRunner:
@@ -370,7 +379,7 @@ class BatchRunner:
         path); in the parallel path started transitions instead arrive
         through ``poll``, which drains the telemetry directory between
         pool waits — so the wait gains a short timeout to keep the
-        live view fresh even while no shard is completing.
+        live view fresh even while no cell is completing.
         """
         if not parallel or len(payloads) == 1:
             for payload in payloads:
@@ -378,10 +387,10 @@ class BatchRunner:
                     on_start(payload["job"]["job_id"])
                 yield execute_job(payload)
             return
-        shards = shard_jobs(payloads, self.jobs * SHARDS_PER_WORKER)
         with ProcessPoolExecutor(max_workers=self.jobs) as executor:
             futures = {
-                executor.submit(execute_shard, shard): shard for shard in shards
+                executor.submit(execute_shard, [payload]): payload
+                for payload in leaders_first(payloads)
             }
             remaining = set(futures)
             timeout = _TELEMETRY_POLL_S if poll is not None else None
@@ -392,17 +401,13 @@ class BatchRunner:
                 if poll is not None:
                     poll()
                 for future in done:
-                    shard = futures[future]
                     try:
                         records = future.result()
                     except Exception as error:
                         # The worker process itself died (or the pool
-                        # broke); the shard's cells become failures.
-                        logger.error("worker shard crashed: %s", error)
-                        records = [
-                            self._crash_record(payload, error)
-                            for payload in shard
-                        ]
+                        # broke); the cell becomes a failure.
+                        logger.error("worker process crashed: %s", error)
+                        records = [self._crash_record(futures[future], error)]
                     for record in records:
                         yield record
 
@@ -553,6 +558,10 @@ class BatchRunner:
             "cache_bytes_written": registry.counter(
                 names.REPRO_CACHE_WRITTEN_BYTES_TOTAL,
                 "bytes written into cache entries", exist_ok=True,
+            ),
+            "cache_baseline_runs": registry.counter(
+                names.REPRO_CACHE_BASELINE_RUNS_TOTAL,
+                "baselines simulated (memo and store misses)", exist_ok=True,
             ),
         }
 

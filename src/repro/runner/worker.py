@@ -65,8 +65,8 @@ class JobTimeout(ReproError):
 _BASELINE_MEMO: Dict[Tuple[str, str], float] = {}
 
 #: Per-process cache stores, keyed by cache root.  Keeping one
-#: :class:`TraceStore` per root preserves its LRU across the jobs of a
-#: shard, which is where the trace-reuse win comes from.
+#: :class:`TraceStore` per root preserves its LRU across the cells one
+#: worker process runs, which is where the trace-reuse win comes from.
 _STORES: Dict[str, Tuple[TraceStore, ResultStore]] = {}
 
 #: Per-process telemetry writers keyed by directory; one file (and one
@@ -118,7 +118,11 @@ def _baseline_throughput(
     config: SimulatorConfig,
     baseline_dir: Optional[str],
     trace_store: Optional[TraceStore] = None,
+    counters: Optional[Dict[str, int]] = None,
 ) -> float:
+    """The workload's uni-processor throughput, from the per-process
+    memo, the on-disk store, or a fresh ``simulate_baseline`` run; only
+    the last adds ``baseline_runs`` to ``counters``."""
     key = (workload, config_fingerprint(config))
     store = BaselineStore(baseline_dir) if baseline_dir else None
     value = _BASELINE_MEMO.get(key)
@@ -138,6 +142,8 @@ def _baseline_throughput(
     value = simulate_baseline(
         get_workload(workload), config, trace_store=trace_store
     ).throughput
+    if counters is not None:
+        counters["baseline_runs"] = 1
     # same fingerprint-keyed memo as above
     _BASELINE_MEMO[key] = value  # simlint: ignore[W702]
     if store is not None:
@@ -172,8 +178,14 @@ def _run_cell(job: Dict[str, Any], config: SimulatorConfig,
               baseline_dir: Optional[str],
               trace_store: Optional[TraceStore] = None,
               result_store: Optional[ResultStore] = None,
-              profiler: SpanProfiler = NULL_PROFILER) -> Dict[str, float]:
-    """Simulate one cell and measure it; raises on any model error."""
+              profiler: SpanProfiler = NULL_PROFILER,
+              counters: Optional[Dict[str, int]] = None) -> Dict[str, float]:
+    """Simulate one cell and measure it; raises on any model error.
+
+    Work counts that are not measurements (``baseline_runs``) go into
+    ``counters``, never into the returned metrics: they depend on what
+    earlier cells in the same process and store already did.
+    """
     if result_store is not None:
         with profiler.span(names.SPAN_CELL_RESULT_CACHE):
             cached = result_store.get(
@@ -200,7 +212,7 @@ def _run_cell(job: Dict[str, Any], config: SimulatorConfig,
     with profiler.span(names.SPAN_CELL_BASELINE):
         baseline = _baseline_throughput(
             job["workload"], baseline_config, baseline_dir,
-            trace_store=trace_store,
+            trace_store=trace_store, counters=counters,
         )
     with profiler.span(names.SPAN_CELL_POLICY):
         policy = make_policy(
@@ -276,6 +288,7 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     )
     trace_store, result_store = _cache_stores(payload.get("cache_dir"))
     before = _cache_counter_snapshot(trace_store, result_store)
+    counters: Dict[str, int] = {}
     try:
         with profiler.span(names.SPAN_CELL):
             with profiler.span(names.SPAN_CELL_SETUP):
@@ -285,7 +298,7 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
                 record["metrics"] = _run_cell(
                     job, config, payload.get("baseline_dir"),
                     trace_store=trace_store, result_store=result_store,
-                    profiler=profiler,
+                    profiler=profiler, counters=counters,
                 )
         record["status"] = STATUS_OK
     except Exception as error:  # a failed cell must not kill the batch
@@ -298,6 +311,7 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         for name in after
         if after[name] != before.get(name, 0)
     }
+    record["cache_counters"].update(counters)
     record["duration_s"] = round(time.perf_counter() - started, 6)
     if profiler.enabled:
         record["profile"] = profiler.to_dict()
@@ -310,10 +324,10 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def execute_shard(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Execute a shard of job payloads sequentially in this process.
+    """Execute job payloads sequentially in this process.
 
-    Sharding amortises inter-process submission overhead; the per-job
-    records are identical to per-job submission because every job is
-    independently seeded.
+    The scheduler's pool entry point; it submits one cell per task
+    (``execute_shard([payload])``).  The records are identical whatever
+    the grouping because every job is independently seeded.
     """
     return [execute_job(payload) for payload in payloads]

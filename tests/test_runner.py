@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -28,8 +29,8 @@ from repro.runner import (
     config_to_payload,
     derive_seed,
     run_batch,
-    shard_jobs,
 )
+from repro.runner import scheduler
 from repro.sim.config import SimulatorConfig, TEST_SCALE
 from repro.sim.simulator import make_policy, simulate, simulate_baseline
 from repro.offload.migration import MigrationModel
@@ -118,14 +119,77 @@ class TestConfigPayload:
         assert batch_fingerprint(ids, CONFIG) != batch_fingerprint(ids[:1], CONFIG)
 
 
-class TestShardJobs:
-    def test_round_robin_covers_everything(self):
-        shards = shard_jobs(list(range(10)), 3)
-        assert sorted(x for shard in shards for x in shard) == list(range(10))
-        assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
+def _payload(workload, seed, tag):
+    return {"job": {"workload": workload, "seed": seed, "job_id": tag}}
 
-    def test_fewer_items_than_shards(self):
-        assert shard_jobs([1], 8) == [[1]]
+
+def _ids(payloads):
+    return [payload["job"]["job_id"] for payload in payloads]
+
+
+class _InlineExecutor:
+    """Runs every submitted call at once, in the submitting process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestLeaderFirstDispatch:
+    #: two workloads x three cells, submitted workload by workload
+    GROUPED = [
+        _payload(workload, 1, f"{workload}-{index}")
+        for workload in ("apache", "derby")
+        for index in range(3)
+    ]
+
+    def test_returns_a_permutation(self):
+        payloads = self.GROUPED + [_payload("apache", 2, "apache-s2")]
+        ordered = scheduler.leaders_first(payloads)
+        assert sorted(_ids(ordered)) == sorted(_ids(payloads))
+        assert len(ordered) == len(payloads)
+
+    def test_leaders_first_then_followers_in_submission_order(self):
+        payloads = self.GROUPED + [_payload("apache", 2, "apache-s2")]
+        assert _ids(scheduler.leaders_first(payloads)) == [
+            "apache-0", "derby-0", "apache-s2",
+            "apache-1", "apache-2", "derby-1", "derby-2",
+        ]
+
+    def test_explicit_per_cell_seeds_keep_order(self):
+        payloads = [_payload("apache", seed, f"c{seed}") for seed in range(5)]
+        assert scheduler.leaders_first(payloads) == payloads
+
+    def test_single_group_keeps_order(self):
+        payloads = self.GROUPED[:3]
+        assert scheduler.leaders_first(payloads) == payloads
+
+    def test_parallel_path_submits_one_cell_per_task(self, monkeypatch):
+        calls = []
+
+        def fake_shard(payloads):
+            calls.append(payloads)
+            return [{"job_id": payload["job"]["job_id"]} for payload in payloads]
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(scheduler, "execute_shard", fake_shard)
+        runner = scheduler.BatchRunner(CONFIG, jobs=2)
+        records = list(runner._execute(list(self.GROUPED), parallel=True))
+        assert all(len(call) == 1 for call in calls)
+        expected = ["apache-0", "derby-0",
+                    "apache-1", "apache-2", "derby-1", "derby-2"]
+        assert [call[0]["job"]["job_id"] for call in calls] == expected
+        assert sorted(r["job_id"] for r in records) == sorted(expected)
 
 
 class TestSerialBatch:
@@ -321,6 +385,29 @@ class TestMetricsIntegration:
         assert registry.get("runner_jobs_skipped").value == 1
         assert registry.get("runner_retries_total").value == 1
         assert "runner_jobs_total" in registry.to_prometheus()
+
+
+class TestBaselineRunsCounter:
+    def test_counts_only_simulated_baselines(self, tmp_path):
+        import dataclasses
+
+        # a seed no other test uses, so the per-process memo starts cold
+        config = dataclasses.replace(CONFIG, seed=918273)
+        specs = [JobSpec(workload, "HI", threshold, 0)
+                 for workload in ("derby", "apache")
+                 for threshold in (100, 10000)]
+
+        def baseline_runs():
+            registry = MetricsRegistry()
+            batch = run_batch(specs, config, metrics=registry,
+                              baseline_dir=str(tmp_path / "baselines"))
+            total = sum(r.cache_counters.get("baseline_runs", 0) for r in batch)
+            counter = registry.get("repro_cache_baseline_runs_total")
+            assert counter.value == total
+            return total
+
+        assert baseline_runs() == 2
+        assert baseline_runs() == 0  # memo (and store) hits add nothing
 
 
 class TestExperimentGridHelper:
