@@ -8,13 +8,19 @@ grid therefore consumes the *same* per-thread stream, and today each
 cell regenerates it from scratch.
 
 :class:`TraceStore` materializes a stream exactly once per key: the
-full event list (the engine's ``budget * 2 + 1`` request, recorded in
-the manifest and re-checked on load) together with every per-event
-reference array, drawn in the engine's exact order — data accesses
-first, then instruction fetches when ``enable_icache`` is on.  Because
-the recorder consumes the generator precisely as the engine would, a
-replayed trace is bit-identical to a live one: same events, same
-arrays, same downstream LRU/MESI state (the golden suite pins this).
+events a run consumes together with every per-event reference array,
+drawn in the engine's exact order — data accesses first, then
+instruction fetches when ``enable_icache`` is on.  The recorder stops
+after the event that completes the last phase
+(:func:`~repro.offload.phases.consumed_prefix`), which depends only on
+the key, so every cell reads all of an entry and nothing more.  The
+manifest keeps the engine's request,
+:func:`~repro.offload.phases.generation_budget`, and a load re-checks
+it.  Because the recorder consumes the generator precisely as the
+engine would, a replayed trace is bit-identical to a live one: same
+events, same arrays, same downstream LRU/MESI state (the golden suite
+pins this).  Entries recorded to the whole request by older recorders
+hold the same prefix and replay the same.
 
 The policy-priming stream (a separate generator at ``seed +
 PRIMING_SEED_OFFSET``; see ``OffloadEngine._prime_policy``) is cached
@@ -55,6 +61,7 @@ from repro.cache.keys import (
 )
 from repro.cache.paths import TRACES_SUBDIR
 from repro.cpu.registers import ArchitectedState
+from repro.offload.phases import consumed_prefix, phase_budgets
 from repro.sim.config import ScaleProfile, SimulatorConfig
 from repro.workloads.base import OSInvocation, UserSegment, WorkloadSpec
 from repro.workloads.generator import TraceEvent, TraceGenerator
@@ -62,7 +69,7 @@ from repro.workloads.generator import TraceEvent, TraceGenerator
 logger = logging.getLogger(__name__)
 
 #: Decoded entries kept hot per process.  Sized for the report grids
-#: while bounding memory (a DEFAULT_SCALE entry is a few MB): the
+#: while bounding memory (a DEFAULT_SCALE entry is about 2 MB): the
 #: scheduler hands each worker the groups' leaders first, then the
 #: followers in submission order, which in those grids is one workload
 #: after another, so only a few workloads' entries are in use at once.
@@ -176,7 +183,14 @@ def _materialize_trace(
     instruction_budget: int,
     icache: bool,
 ) -> _TraceData:
-    """Record one thread's full stream, consuming the RNG as the engine does."""
+    """Record the prefix of one thread's stream that a run consumes.
+
+    Stops after the event that completes the last phase (see
+    :func:`~repro.offload.phases.consumed_prefix`), or earlier when the
+    generator reaches ``instruction_budget``.  The RNG is consumed as
+    the engine consumes it, so the entry is, draw for draw, the start
+    of the stream a live run generates.
+    """
     generator = TraceGenerator(spec, profile, seed=seed, thread_id=thread_id)
     events: List[TraceEvent] = []
     lines_parts: List[np.ndarray] = []
@@ -184,7 +198,10 @@ def _materialize_trace(
     data_counts: List[int] = []
     code_parts: List[np.ndarray] = []
     code_counts: List[int] = []
-    for event in generator.events(instruction_budget):
+    stream = consumed_prefix(
+        generator.events(instruction_budget), phase_budgets(profile)
+    )
+    for event in stream:
         events.append(event)
         if isinstance(event, UserSegment):
             lines, writes = generator.user_accesses(event.instructions)

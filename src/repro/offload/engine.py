@@ -51,6 +51,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_PROFILER, SpanProfiler
 from repro.offload.migration import MigrationModel
 from repro.offload.oscore import OsCorePool
+from repro.offload.phases import TRACE_SHORT, generation_budget, phase_budgets
 from repro.service.arrivals import ArrivalSchedule
 from repro.service.latency import LatencyAccumulator, LatencyStats
 from repro.sim.config import SimulatorConfig
@@ -236,9 +237,8 @@ class OffloadEngine:
         if predictor is not None:
             self.stats.predictor = predictor.stats
 
-        budget_per_core = config.profile.scaled_warmup + config.profile.scaled_roi
         # Generate with slack; phase accounting stops the run.
-        slack_budget = budget_per_core * 2 + 1
+        slack_budget = generation_budget(config.profile)
         self.contexts: List[_CoreContext] = []
         for index in range(n_user):
             if trace_store is not None:
@@ -273,7 +273,7 @@ class OffloadEngine:
 
     def run(self) -> SimulationStats:
         """Prime, warm up, then simulate the region of interest."""
-        profile = self.config.profile
+        warmup, roi = phase_budgets(self.config.profile)
         logger.debug(
             "run start: workload=%s policy=%s latency=%d cores=%d",
             self.spec.name, self.policy.name,
@@ -283,9 +283,7 @@ class OffloadEngine:
             self._prime_policy(self.config.policy_priming_invocations)
         self._phase_label = PHASE_WARMUP
         with self.profiler.span(names.SPAN_SIM_WARMUP):
-            warm_instructions, warm_os = self._run_phase(
-                profile.scaled_warmup, epochs=False
-            )
+            warm_instructions, warm_os = self._run_phase(warmup, epochs=False)
         # The counter reset zeroes each core's local clock; fold the
         # elapsed warm-up time into the absolute-clock bases first so
         # open-loop arrival timestamps never run backwards.
@@ -301,7 +299,7 @@ class OffloadEngine:
             self._apply_threshold()
             self._snapshot_epoch()
         with self.profiler.span(names.SPAN_SIM_ROI):
-            self._run_phase(profile.scaled_roi, epochs=self.controller is not None)
+            self._run_phase(roi, epochs=self.controller is not None)
         self.stats.energy.core_cycles = (
             sum(c.busy_cycles for c in self.stats.cores)
             + self.stats.os_core.busy_cycles
@@ -369,10 +367,7 @@ class OffloadEngine:
             ctx = min(active, key=lambda c: c.core.now)
             event = next(ctx.events, None)
             if event is None:
-                raise SimulationError(
-                    "trace generator exhausted before the phase budget; "
-                    "increase the generation slack"
-                )
+                raise SimulationError(TRACE_SHORT)
             executed = self._execute(ctx, event)
             ctx.executed += executed
             total += executed

@@ -34,6 +34,7 @@ from repro.errors import SimulationError
 from repro.obs import names
 from repro.obs.events import MigrationEvent, QueueEvent
 from repro.offload.engine import OS_MODE, USER_MODE, OffloadEngine
+from repro.offload.phases import TRACE_SHORT, generation_budget
 from repro.workloads.base import OSInvocation, UserSegment
 from repro.workloads.generator import TraceEvent, TraceGenerator
 
@@ -68,7 +69,7 @@ class SMTOffloadEngine(OffloadEngine):
                 "SMTOffloadEngine requires threads_per_user_core >= 2; "
                 "use OffloadEngine for the single-threaded configuration"
             )
-        budget = config.profile.scaled_warmup + config.profile.scaled_roi
+        budget = generation_budget(config.profile)
         # Per user core: a list of thread states with globally unique
         # thread ids (disjoint address regions per thread).
         self._threads: List[List[_ThreadState]] = []
@@ -79,7 +80,7 @@ class SMTOffloadEngine(OffloadEngine):
                 if trace_store is not None:
                     with self.profiler.span(names.SPAN_TRACE_LOAD):
                         generator = trace_store.trace_source(
-                            spec, config, thread_id, budget * 2 + 1
+                            spec, config, thread_id, budget
                         )
                 else:
                     generator = TraceGenerator(
@@ -88,7 +89,7 @@ class SMTOffloadEngine(OffloadEngine):
                     )
                 group.append(
                     _ThreadState(thread_id, generator,
-                                 generator.events(budget * 2 + 1))
+                                 generator.events(budget))
                 )
             self._threads.append(group)
         # Absolute per-core clocks (never reset; used for queue arrivals).
@@ -164,7 +165,7 @@ class SMTOffloadEngine(OffloadEngine):
         thread = min(runnable, key=lambda t: t.blocked_until)
         event = next(thread.events, None)
         if event is None:
-            raise SimulationError("trace exhausted before the phase budget")
+            raise SimulationError(TRACE_SHORT)
         core = self.contexts[core_index].core
         ctx = self.contexts[core_index]
 

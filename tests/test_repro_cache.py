@@ -28,7 +28,8 @@ from repro.cache import (
     cache_stats,
     resolve_cache_root,
 )
-from repro.cache.keys import PRIMING_SEED_OFFSET, TRACE_KIND
+from repro.cache import tracestore
+from repro.cache.keys import PRIMING_SEED_OFFSET, TRACE_KIND, trace_key
 from repro.cache.paths import CACHE_ENV_VAR, TRACES_SUBDIR
 from repro.cache.tracestore import (
     _decode,
@@ -36,10 +37,14 @@ from repro.cache.tracestore import (
     _materialize_priming,
     _materialize_trace,
 )
+from repro.core.threshold import DynamicThresholdController
 from repro.experiments.common import run_job_grid
 from repro.obs.metrics import MetricsRegistry
+from repro.offload import OffloadEngine, SMTOffloadEngine
+from repro.offload.phases import generation_budget
 from repro.runner import JobSpec, worker
 from repro.runner.jobspec import config_to_payload
+from repro.service.config import ServiceConfig
 from repro.sim.config import SimulatorConfig, TEST_SCALE
 from repro.sim.simulator import make_policy, simulate
 from repro.workloads.base import OSInvocation
@@ -121,6 +126,110 @@ def test_lru_eviction_keeps_replay_correct(tmp_path):
         committed = json.loads(golden_path(workload, seed).read_text())
         assert run_cell(workload, seed, "scalar", trace_store=store) == committed
     assert len(store._lru) == 1
+
+
+# ----------------------------------------------------------------------
+# recorded length: the consumed prefix, no more and no less
+# ----------------------------------------------------------------------
+
+
+def _capture_engines(monkeypatch):
+    """Collect every engine ``simulate`` runs (SMT inherits ``run``)."""
+    engines = []
+    original = OffloadEngine.run
+
+    def run(self):
+        engines.append(self)
+        return original(self)
+
+    monkeypatch.setattr(OffloadEngine, "run", run)
+    return engines
+
+
+def _trace_sources(engine):
+    """The trace sources an engine actually advances."""
+    if isinstance(engine, SMTOffloadEngine):
+        return [t.generator for group in engine._threads for t in group]
+    return [ctx.generator for ctx in engine.contexts]
+
+
+_PREFIX_CELLS = {
+    "1-core": ({}, False),
+    "4-cores": ({"num_user_cores": 4}, False),
+    "smt": ({"threads_per_user_core": 2}, False),
+    "open-loop": (
+        {
+            "num_user_cores": 2,
+            "service": ServiceConfig(
+                arrivals="poisson", mean_interarrival_cycles=2000.0,
+                os_cores=2, dispatch="shortest",
+            ),
+        },
+        False,
+    ),
+    "dynamic-n": ({}, True),
+}
+
+
+@pytest.mark.parametrize("cell", list(_PREFIX_CELLS))
+def test_every_stored_trace_is_consumed_exactly(cell, tmp_path, monkeypatch):
+    overrides, dynamic = _PREFIX_CELLS[cell]
+    config = SimulatorConfig(profile=TEST_SCALE, seed=7, **overrides)
+    spec = get_workload("apache")
+
+    def run(store):
+        policy = make_policy("DI" if dynamic else "HI", threshold=100,
+                             spec=spec, config=config)
+        controller = (
+            DynamicThresholdController(config.profile) if dynamic else None
+        )
+        result = simulate(spec, policy, config=config, controller=controller,
+                          trace_store=store)
+        return dataclasses.asdict(result.stats)
+
+    live = run(None)
+    engines = _capture_engines(monkeypatch)
+    assert run(TraceStore(_store_root(tmp_path))) == live
+    (engine,) = engines
+    sources = _trace_sources(engine)
+    assert len(sources) == config.num_user_cores * config.threads_per_user_core
+    for source in sources:
+        # Each replay ends on the last event its entry recorded.
+        assert source._index == len(source._data.events) - 1
+
+
+def test_full_slack_entries_replay_identically(tmp_path, monkeypatch):
+    """Entries recorded to the whole generation budget stay valid.
+
+    Recorders before the consumed-prefix rule stored every event up to
+    the engine's ``generation_budget``; such an entry is a superset of
+    today's and must replay to the same stats, so the cache schema
+    needs no bump.
+    """
+    config = SimulatorConfig(profile=TEST_SCALE, seed=7, num_user_cores=2)
+    spec = get_workload("apache")
+    payload = config_to_payload(config)
+    budget = generation_budget(config.profile)
+    prefix_root = _store_root(tmp_path)
+    full_store = TraceStore(str(tmp_path / "full"))
+    for thread in range(config.num_user_cores):
+        prefix = TraceStore(prefix_root).trace_data(spec, config, thread, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(tracestore, "consumed_prefix",
+                          lambda events, budgets: events)
+            full = _materialize_trace(spec, config.profile, config.seed,
+                                      thread, budget, icache=False)
+        assert len(full.events) > len(prefix.events)
+        assert full.events[:len(prefix.events)] == prefix.events
+        np.testing.assert_array_equal(
+            full.data_lines[:len(prefix.data_lines)], prefix.data_lines
+        )
+        full_store._save(trace_key(spec, payload, thread), full)
+    reference = _run_stats(config)
+    assert _run_stats(config, TraceStore(prefix_root)) == reference
+    replay = TraceStore(str(tmp_path / "full"))
+    assert _run_stats(config, replay) == reference
+    assert replay.counters["trace_misses"] == 1  # the priming stream only
 
 
 # ----------------------------------------------------------------------
